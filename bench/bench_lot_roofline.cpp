@@ -1,14 +1,14 @@
-// Full-lot roofline: render + screen + THD for a 20 000-die lot, PR 6
-// defaults vs the lane-major pipeline at the autotuned configuration.
+// Full-lot roofline: render + screen + THD for a 20 000-die lot, the scalar
+// lanes = 1 path vs the lane groups at the autotuned configuration.
 //
-// Baseline is the engine exactly as PR 6 shipped it: reference pipeline,
-// batch_lanes = 1, default thread count.  The roofline side turns on
-// everything this PR built -- banked DUT state-space pass, lane-major
-// evaluator kernels, arena-backed worker scratch, cached demodulation
-// tables, calibration transplant, and autotuned {threads, batch_lanes}.
+// Baseline is the scalar path, the engine's bit-identity oracle:
+// batch_lanes = 1, default thread count.  The roofline side runs the lane
+// groups -- banked DUT state-space pass, lane-major evaluator kernels,
+// arena-backed worker scratch, cached demodulation tables, calibration
+// transplant -- at autotuned {threads, batch_lanes}.
 // Gates:
 //
-//   * >= 2x full-lot wall clock over the PR 6 default configuration;
+//   * >= 2x full-lot wall clock over scalar lanes = 1;
 //   * bit-identical screening_report (incl. THD) for every die.
 //
 // Writes the measurement to BENCH_lot_roofline.json (or argv[1]) so the
@@ -148,18 +148,16 @@ void write_json(const std::string& path, const lot_timing& baseline,
 
 int main(int argc, char** argv) {
     bench::banner("full-lot roofline",
-                  "20k-die render+screen+THD lot: PR 6 defaults vs lane-major "
-                  "pipeline at the autotuned configuration");
+                  "20k-die render+screen+THD lot: scalar lanes = 1 vs lane "
+                  "groups at the autotuned configuration");
 
-    // PR 6 default configuration: reference pipeline, scalar lanes, default
-    // thread count.  This is the bar the roofline must clear by 2x.
+    // The scalar oracle: lanes = 1, default thread count.  This is the bar
+    // the roofline must clear by 2x.
     core::sweep_engine_options baseline_options;
-    baseline_options.pipeline = core::sweep_pipeline::reference;
     baseline_options.batch_lanes = 1;
 
-    // The roofline side: everything on, configuration self-tuned.
+    // The roofline side: lane groups, configuration self-tuned.
     core::sweep_engine_options roofline_options;
-    roofline_options.pipeline = core::sweep_pipeline::lane_major;
     roofline_options.autotune = true;
 
     const auto baseline = best_of(baseline_options, 2);
@@ -174,9 +172,9 @@ int main(int argc, char** argv) {
     }
 
     std::cout << "\n" << kDice << "-die lot (best of 2, steady-state engine):\n"
-              << "  PR 6 defaults (reference, " << baseline.threads << " threads, "
+              << "  scalar lanes = 1 (" << baseline.threads << " threads, "
               << baseline.batch_lanes << " lane):  " << baseline.seconds << " s\n"
-              << "  roofline (lane-major, autotuned " << roofline.threads
+              << "  roofline (lane groups, autotuned " << roofline.threads
               << " threads x " << roofline.batch_lanes << " lanes): "
               << roofline.seconds << " s\n"
               << "  speedup: " << speedup << "x\n"
@@ -187,12 +185,12 @@ int main(int argc, char** argv) {
                speedup, identical);
 
     bench::footnote("Both sides compute the same IEEE-754 results die for die; the "
-                    "roofline pipeline only reorganises the arithmetic (banked "
+                    "lane groups only reorganise the arithmetic (banked "
                     "lanes, reused buffers, transplanted calibration state).");
 
     bool failed = false;
     if (!identical) {
-        std::cerr << "FAILURE: roofline pipeline diverged from the PR 6 reference\n";
+        std::cerr << "FAILURE: lane groups diverged from the scalar lanes = 1 oracle\n";
         failed = true;
     }
     if (speedup < 2.0) {

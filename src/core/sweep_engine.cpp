@@ -21,12 +21,267 @@ namespace bistna::core {
 namespace {
 
 /// The worker's render/measure scratch: one arena per thread, reset at the
-/// start of every work item, so a steady-state lot loop allocates nothing
-/// after the first item per worker reaches peak size.
+/// start of every program stage, so a steady-state lot loop allocates
+/// nothing after the first item per worker reaches peak size.
 arena& worker_arena() {
     thread_local arena scratch;
     return scratch;
 }
+
+/// Render one acquisition stage for one item, deduplicated through the
+/// batch's render share when the item carries a render key: identical
+/// boards produce bit-identical records (a render is a pure function of
+/// the board design), so the first item renders and the rest reuse.  The
+/// share is keyed on (render key, stage tag); the stage tag encodes the
+/// program stage, which pins (timebase, path, periods) within one batch.
+stimulus_cache::record_ptr render_stage(demonstrator_board& board,
+                                        stimulus_cache& shared_records,
+                                        std::uint64_t render_key, std::uint64_t stage_tag,
+                                        const sim::timebase& tb, std::size_t periods,
+                                        signal_path path, std::size_t settle_periods) {
+    auto render = [&] { return board.render(tb, periods, path, settle_periods); };
+    if (render_key == 0) {
+        return std::make_shared<const stimulus_cache::record>(render());
+    }
+    return shared_records.get_or_render(
+        stimulus_key{render_key, stage_tag, periods, settle_periods}, render);
+}
+
+/// Stage tags for render_stage: 0 is the calibration stage, 1 + i the i-th
+/// program frequency, 1 + frequencies.size() the distortion stage.
+constexpr std::uint64_t calibration_stage_tag = 0;
+
+/// Render the through-DUT stage of `lanes.size()` boards into one
+/// lane-major block (sample n of lane i at out[n * lanes.size() + i]).
+/// Lane i filters stairs[i] (all one record when `same_staircase`) at
+/// timebases[i] (timebases[0] for every lane when only one is given),
+/// keeping the tail after the settle periods.  One lockstep
+/// state_space_bank pass when every lane exposes a compatible linear
+/// realization -- the same reset / prepare / settle-block / tail-block
+/// sequence as render_from_stimulus, per-lane coefficients, so lanes at
+/// different timebases bank too -- otherwise scalar renders transposed
+/// into the layout.  Bit-identical either way.
+void render_dut_lanes(std::span<demonstrator_board* const> lanes,
+                      std::span<const stimulus_cache::record_ptr> stairs, bool same_staircase,
+                      std::span<const sim::timebase> timebases, std::size_t periods,
+                      std::size_t settle_periods, arena& scratch, double* out) {
+    const std::size_t n_lanes = lanes.size();
+    const std::size_t keep_from = timebases[0].samples_for_periods(settle_periods);
+    const std::size_t tail = timebases[0].samples_for_periods(periods);
+    const auto timebase = [&](std::size_t i) -> const sim::timebase& {
+        return timebases[timebases.size() == 1 ? 0 : i];
+    };
+
+    std::vector<dut::state_space*> realizations(n_lanes);
+    bool bankable = true;
+    for (std::size_t i = 0; i < n_lanes; ++i) {
+        auto& device = lanes[i]->dut();
+        device.reset();
+        device.prepare(timebase(i).master().value);
+        realizations[i] = device.linear_realization();
+        bankable = bankable && realizations[i] != nullptr;
+    }
+    if (bankable && dut::state_space_bank::compatible({realizations.data(), n_lanes})) {
+        dut::state_space_bank bank({realizations.data(), n_lanes}, scratch);
+        double* discard = scratch.allocate<double>(keep_from * n_lanes).data();
+        if (same_staircase) {
+            const double* input = stairs[0]->data();
+            bank.step_block_shared(input, keep_from, discard);
+            bank.step_block_shared(input + keep_from, tail, out);
+        } else {
+            const double** settle_inputs = scratch.allocate<const double*>(n_lanes).data();
+            const double** tail_inputs = scratch.allocate<const double*>(n_lanes).data();
+            for (std::size_t i = 0; i < n_lanes; ++i) {
+                settle_inputs[i] = stairs[i]->data();
+                tail_inputs[i] = stairs[i]->data() + keep_from;
+            }
+            bank.step_block_lanes(settle_inputs, keep_from, discard);
+            bank.step_block_lanes(tail_inputs, tail, out);
+        }
+        return;
+    }
+
+    // Non-linear or high-order DUTs: scalar per-lane renders transposed
+    // into the lane-major layout -- bit-identical by definition.
+    for (std::size_t i = 0; i < n_lanes; ++i) {
+        const auto record = lanes[i]->render_from_stimulus(
+            *stairs[i], timebase(i), periods, signal_path::through_dut, settle_periods);
+        for (std::size_t n = 0; n < tail; ++n) {
+            out[n * n_lanes + i] = record[n];
+        }
+    }
+}
+
+/// One program stage of a lane group as the evaluator consumes it, plus
+/// the owner of a shared record (alive until the stage is measured).
+struct stage_records {
+    eval::lane_records records;
+    stimulus_cache::record_ptr owner;
+};
+
+/// A lane group in flight on one worker: a board and an evaluator lane per
+/// item, the engine's demod-table cache, calibration share and the
+/// worker's arena always attached.  Screening, Bode and acquisition groups
+/// are sequences of the three program stages below -- calibration,
+/// fundamental per frequency, THD -- over the lanes still measuring, each
+/// stage rendered by the one stage runner (render()).
+class lane_group {
+public:
+    /// `render_keys` (empty, or one per lane) tag acquisition items whose
+    /// boards are render-identical; nonzero keys resolve through
+    /// `shared_records` (see render_stage).
+    lane_group(std::vector<demonstrator_board> boards,
+               std::vector<eval::evaluator_config> configs, const analyzer_settings& settings,
+               eval::demod_table_cache& tables, eval::calibration_share& calibration,
+               std::vector<std::uint64_t> render_keys = {},
+               stimulus_cache* shared_records = nullptr)
+        : boards_(std::move(boards)), evaluators_(std::move(configs)), settings_(settings),
+          scratch_(worker_arena()), render_keys_(std::move(render_keys)),
+          shared_records_(shared_records) {
+        evaluators_.set_shared_resources(&tables, &scratch_, &calibration);
+        all_.resize(boards_.size());
+        std::iota(all_.begin(), all_.end(), std::size_t{0});
+    }
+
+    /// Every lane, in order (the active set before any lane drops out).
+    const std::vector<std::size_t>& all() const noexcept { return all_; }
+
+    /// Stage 1 of every lane: the stimulus characterization through the
+    /// calibration path (the scalar analyzer's calibrate()).  The record is
+    /// the staircase tail, so lanes read the cached staircase in place.
+    std::vector<stimulus_calibration> calibrate() {
+        telemetry::trace_span calibrate_span("engine.calibrate");
+        calibrate_span.arg("lanes", static_cast<double>(all_.size()));
+        const auto cal_tb = sim::timebase::for_wave_frequency(kilohertz(1.0));
+        const auto stage = render(all_, {&cal_tb, 1}, settings_.periods,
+                                  signal_path::calibration, calibration_stage_tag);
+        const auto measured =
+            evaluators_.measure_harmonic_lanes(all_, stage.records, 1, settings_.periods);
+        std::vector<stimulus_calibration> out;
+        out.reserve(measured.size());
+        for (const auto& m : measured) {
+            out.push_back(make_stimulus_calibration(m));
+        }
+        return out;
+    }
+
+    /// Fundamental of each active lane through the DUT at its timebase
+    /// (timebases[i] for active[i], or timebases[0] for every lane).
+    /// `stage_tag` names the program stage for keyed lanes' render share.
+    std::vector<eval::harmonic_measurement>
+    fundamental(const std::vector<std::size_t>& active,
+                std::span<const sim::timebase> timebases, std::uint64_t stage_tag = 0) {
+        const stage_records stage = [&] {
+            telemetry::trace_span render_span("engine.render");
+            render_span.arg("lanes", static_cast<double>(active.size()));
+            return render(active, timebases, settings_.periods, signal_path::through_dut,
+                          stage_tag);
+        }();
+        telemetry::trace_span evaluate_span("engine.evaluate");
+        evaluate_span.arg("lanes", static_cast<double>(active.size()));
+        return evaluators_.measure_harmonic_lanes(active, stage.records, 1,
+                                                  settings_.periods);
+    }
+
+    /// THD from harmonics 1..max_harmonic of each active lane at `tb`
+    /// (the scalar measure_distortion, distortion_periods records).
+    std::vector<eval::thd_measurement> thd(const std::vector<std::size_t>& active,
+                                           const sim::timebase& tb,
+                                           std::size_t max_harmonic,
+                                           std::uint64_t stage_tag = 0) {
+        telemetry::trace_span thd_span("engine.thd");
+        thd_span.arg("lanes", static_cast<double>(active.size()));
+        const stage_records stage = [&] {
+            telemetry::trace_span render_span("engine.render");
+            render_span.arg("lanes", static_cast<double>(active.size()));
+            return render(active, {&tb, 1}, settings_.distortion_periods,
+                          signal_path::through_dut, stage_tag);
+        }();
+        return evaluators_.measure_thd_lanes(active, stage.records, max_harmonic,
+                                             settings_.distortion_periods);
+    }
+
+    /// A lane's measured fundamental as a frequency point.
+    frequency_point point(std::size_t lane, hertz f, const stimulus_calibration& input,
+                          const eval::harmonic_measurement& output) const {
+        return assemble_frequency_point(f, input, output, settings_.hold_compensation,
+                                        boards_[lane].dut());
+    }
+
+    double offset_rate(std::size_t lane) {
+        return evaluators_.extractor(lane).offset_rate_ch1();
+    }
+
+private:
+    /// The stage runner: the `periods`-period record of every active lane
+    /// on `path`.  When every lane resolves to one record -- one cached
+    /// staircase on the calibration path, one render-key share through the
+    /// DUT -- the evaluator reads it in place.  Otherwise the records form
+    /// a lane-major block in the worker arena: staircase tails copied into
+    /// their columns on the calibration path, one render_dut_lanes pass
+    /// through the DUT.  Resets the arena: a block lives until the next
+    /// stage.
+    stage_records render(const std::vector<std::size_t>& active,
+                         std::span<const sim::timebase> timebases, std::size_t periods,
+                         signal_path path, std::uint64_t stage_tag) {
+        scratch_.reset();
+        const std::size_t lanes = active.size();
+        const std::size_t keep_from =
+            timebases[0].samples_for_periods(settings_.settle_periods);
+        const std::size_t tail = timebases[0].samples_for_periods(periods);
+
+        if (path == signal_path::through_dut && !render_keys_.empty()) {
+            const std::uint64_t key = render_keys_[active[0]];
+            const bool one_key =
+                key != 0 && std::all_of(active.begin(), active.end(), [&](std::size_t l) {
+                    return render_keys_[l] == key;
+                });
+            if (one_key) {
+                auto record = render_stage(boards_[active[0]], *shared_records_, key,
+                                           stage_tag, timebases[0], periods, path,
+                                           settings_.settle_periods);
+                return {{record->data(), tail, true}, record};
+            }
+        }
+
+        std::vector<stimulus_cache::record_ptr> stairs(lanes);
+        for (std::size_t i = 0; i < lanes; ++i) {
+            stairs[i] = boards_[active[i]].stimulus_record(periods, settings_.settle_periods);
+        }
+        const bool same_staircase =
+            std::all_of(stairs.begin(), stairs.end(),
+                        [&](const auto& stair) { return stair.get() == stairs[0].get(); });
+        if (path == signal_path::calibration && same_staircase) {
+            return {{stairs[0]->data() + keep_from, tail, true}, stairs[0]};
+        }
+
+        double* out = scratch_.allocate<double>(tail * lanes).data();
+        if (path == signal_path::through_dut) {
+            std::vector<demonstrator_board*> lane_boards(lanes);
+            for (std::size_t i = 0; i < lanes; ++i) {
+                lane_boards[i] = &boards_[active[i]];
+            }
+            render_dut_lanes(lane_boards, stairs, same_staircase, timebases, periods,
+                             settings_.settle_periods, scratch_, out);
+        } else {
+            for (std::size_t i = 0; i < lanes; ++i) {
+                const double* record = stairs[i]->data() + keep_from;
+                for (std::size_t n = 0; n < tail; ++n) {
+                    out[n * lanes + i] = record[n];
+                }
+            }
+        }
+        return {{out, tail, false}, nullptr};
+    }
+
+    std::vector<demonstrator_board> boards_;
+    eval::batch_evaluator evaluators_;
+    const analyzer_settings& settings_;
+    arena& scratch_;
+    std::vector<std::uint64_t> render_keys_;
+    stimulus_cache* shared_records_;
+    std::vector<std::size_t> all_;
+};
 
 } // namespace
 
@@ -73,7 +328,6 @@ sweep_stats sweep_engine::stats() const {
     sweep_stats stats;
     stats.threads = resolved_threads();
     stats.batch_lanes = std::max<std::size_t>(1, options_.batch_lanes);
-    stats.pipeline = options_.pipeline;
     stats.autotuned = autotuned_;
     stats.autotune_seconds = autotune_seconds_;
     stats.autotune_candidates = autotune_candidates_;
@@ -187,39 +441,24 @@ void sweep_engine::bode_group(const std::vector<hertz>& frequencies,
                               std::uint64_t board_seed,
                               const stimulus_calibration& calibration, std::size_t first,
                               std::size_t count, frequency_point* out) {
-    // Lockstep lanes: a group of points renders its records (scalar,
-    // cache-shared) and acquires them through one SoA modulator bank.
-    // Per-point seeds and arithmetic match the scalar path exactly.
+    // Lockstep lanes: one board per point, all drawn with the same seed;
+    // the lanes differ only in timebase, so one banked pass renders them
+    // all.  Per-point seeds and arithmetic match the scalar path exactly.
     std::vector<demonstrator_board> boards;
     boards.reserve(count);
     std::vector<eval::evaluator_config> configs(count, settings_.evaluator);
-    std::vector<std::vector<double>> records(count);
-    std::vector<std::span<const double>> spans(count);
-    {
-        telemetry::trace_span render_span("engine.render");
-        render_span.arg("lanes", static_cast<double>(count));
-        for (std::size_t l = 0; l < count; ++l) {
-            boards.push_back(make_board(board_seed));
-            configs[l].seed = sweep_item_seed(options_.base_seed, first + l + 1);
-            const auto tb = sim::timebase::for_wave_frequency(frequencies[first + l]);
-            records[l] = boards[l].render(tb, settings_.periods, signal_path::through_dut,
-                                          settings_.settle_periods);
-            spans[l] = records[l];
-        }
-    }
-    eval::batch_evaluator evaluators(std::move(configs));
-    if (options_.pipeline == sweep_pipeline::lane_major) {
-        arena& scratch = worker_arena();
-        scratch.reset();
-        evaluators.set_shared_resources(demod_tables_.get(), &scratch,
-                                        calibration_share_.get());
-    }
-    telemetry::trace_span evaluate_span("engine.evaluate");
-    evaluate_span.arg("lanes", static_cast<double>(count));
-    const auto outputs = evaluators.measure_harmonic(spans, 1, settings_.periods);
+    std::vector<sim::timebase> timebases;
+    timebases.reserve(count);
     for (std::size_t l = 0; l < count; ++l) {
-        out[l] = assemble_frequency_point(frequencies[first + l], calibration, outputs[l],
-                                          settings_.hold_compensation, boards[l].dut());
+        boards.push_back(make_board(board_seed));
+        configs[l].seed = sweep_item_seed(options_.base_seed, first + l + 1);
+        timebases.push_back(sim::timebase::for_wave_frequency(frequencies[first + l]));
+    }
+    lane_group group(std::move(boards), std::move(configs), settings_, *demod_tables_,
+                     *calibration_share_);
+    const auto outputs = group.fundamental(group.all(), timebases);
+    for (std::size_t l = 0; l < count; ++l) {
+        out[l] = group.point(l, frequencies[first + l], calibration, outputs[l]);
     }
 }
 
@@ -364,54 +603,33 @@ void sweep_engine::screen_group(const spec_mask& mask, const screening_options& 
                                 screening_report* reports,
                                 const job_progress& progress) {
     BISTNA_EXPECTS(count > 0, "lane group must contain at least one die");
-    if (options_.pipeline == sweep_pipeline::lane_major) {
-        screen_group_lane_major(mask, screening, first_seed, count, reports, progress);
-        return;
-    }
-
     std::vector<demonstrator_board> boards;
     boards.reserve(count);
     for (std::size_t l = 0; l < count; ++l) {
         boards.push_back(make_board(first_seed + l));
     }
-    eval::batch_evaluator evaluators(
-        std::vector<eval::evaluator_config>(count, settings_.evaluator));
+    lane_group group(std::move(boards),
+                     std::vector<eval::evaluator_config>(count, settings_.evaluator),
+                     settings_, *demod_tables_, *calibration_share_);
 
-    // Stage 1 -- per-lane stimulus self-test through the calibration path
-    // (the scalar analyzer's calibrate(): one render at a convenient master
-    // clock, one lockstep fundamental acquisition across all lanes).
-    const auto cal_tb = sim::timebase::for_wave_frequency(kilohertz(1.0));
-    std::vector<stimulus_calibration> inputs(count);
+    // Stage 1 -- the stimulus self-test through the calibration path.
+    const auto inputs = group.calibrate();
     std::vector<std::size_t> active;
     active.reserve(count);
-    {
-        telemetry::trace_span calibrate_span("engine.calibrate");
-        calibrate_span.arg("lanes", static_cast<double>(count));
-        std::vector<std::vector<double>> records(count);
-        std::vector<std::span<const double>> spans(count);
-        for (std::size_t l = 0; l < count; ++l) {
-            records[l] = boards[l].render(cal_tb, settings_.periods,
-                                          signal_path::calibration,
-                                          settings_.settle_periods);
-            spans[l] = records[l];
-        }
-        const auto measured = evaluators.measure_harmonic(spans, 1, settings_.periods);
-        for (std::size_t l = 0; l < count; ++l) {
-            inputs[l] = make_stimulus_calibration(measured[l]);
-            screening_report& report = reports[l];
-            report.stimulus_volts = inputs[l].amplitude.volts;
-            report.stimulus_phase_deg = rad_to_deg(inputs[l].phase.radians);
-            report.offset_rate = evaluators.extractor(l).offset_rate_ch1();
-            report.self_test_passed = stimulus_self_test(mask, report.stimulus_volts);
-            // Broken BIST circuitry gates out the die's DUT data; the lane
-            // is dropped from every later acquisition (it consumes no more
-            // of its RNG stream, matching the scalar early return) -- unless
-            // the diagnostic option keeps it measuring, matching the scalar
-            // diagnostic path.
-            report.passed = report.self_test_passed;
-            if (report.self_test_passed || screening.continue_after_self_test_failure) {
-                active.push_back(l);
-            }
+    for (std::size_t l = 0; l < count; ++l) {
+        screening_report& report = reports[l];
+        report.stimulus_volts = inputs[l].amplitude.volts;
+        report.stimulus_phase_deg = rad_to_deg(inputs[l].phase.radians);
+        report.offset_rate = group.offset_rate(l);
+        report.self_test_passed = stimulus_self_test(mask, report.stimulus_volts);
+        // Broken BIST circuitry gates out the die's DUT data; the lane is
+        // dropped from every later acquisition (it consumes no more of its
+        // RNG stream, matching the scalar early return) -- unless the
+        // diagnostic option keeps it measuring, matching the scalar
+        // diagnostic path.
+        report.passed = report.self_test_passed;
+        if (report.self_test_passed || screening.continue_after_self_test_failure) {
+            active.push_back(l);
         }
     }
     // Gated-out lanes are finished dice; the active ones tick when their
@@ -421,241 +639,26 @@ void sweep_engine::screen_group(const spec_mask& mask, const screening_options& 
         return;
     }
 
-    // Stage 2 -- every mask limit over the lanes still measuring: scalar
-    // renders (cache-shared staircase, per-lane DUT filtering), one
-    // lockstep acquisition per limit.
+    // Stage 2 -- every mask limit over the lanes still measuring.
     for (std::size_t limit_index = 0; limit_index < mask.limits.size(); ++limit_index) {
         const auto& limit = mask.limits[limit_index];
         const auto tb = sim::timebase::for_wave_frequency(hertz{limit.f_hz});
-        std::vector<std::vector<double>> records(active.size());
-        std::vector<std::span<const double>> spans(active.size());
-        {
-            telemetry::trace_span render_span("engine.render");
-            render_span.arg("lanes", static_cast<double>(active.size()));
-            for (std::size_t i = 0; i < active.size(); ++i) {
-                records[i] = boards[active[i]].render(tb, settings_.periods,
-                                                      signal_path::through_dut,
-                                                      settings_.settle_periods);
-                spans[i] = records[i];
-            }
-        }
-        telemetry::trace_span evaluate_span("engine.evaluate");
-        evaluate_span.arg("lanes", static_cast<double>(active.size()));
-        const auto outputs =
-            evaluators.measure_harmonic_lanes(active, spans, 1, settings_.periods);
+        const auto outputs = group.fundamental(active, {&tb, 1});
         for (std::size_t i = 0; i < active.size(); ++i) {
             const std::size_t l = active[i];
-            const auto point =
-                assemble_frequency_point(hertz{limit.f_hz}, inputs[l], outputs[i],
-                                         settings_.hold_compensation, boards[l].dut());
+            const auto point = group.point(l, hertz{limit.f_hz}, inputs[l], outputs[i]);
             const auto result = evaluate_limit(limit, point, limit_index);
             reports[l].passed = reports[l].passed && result.passed;
             reports[l].limits.push_back(result);
         }
     }
 
-    // Stage 3 -- optional distortion measurement (the scalar path's
-    // measure_distortion: distortion_periods renders, harmonics 1..max in
-    // one lockstep pass per harmonic).
+    // Stage 3 -- optional distortion (the scalar measure_distortion).
     if (screening.measure_distortion) {
-        telemetry::trace_span thd_span("engine.thd");
-        thd_span.arg("lanes", static_cast<double>(active.size()));
         const double f_hz = screening.distortion_f_hz > 0.0 ? screening.distortion_f_hz
                                                             : mask.limits.front().f_hz;
         const auto tb = sim::timebase::for_wave_frequency(hertz{f_hz});
-        std::vector<std::vector<double>> records(active.size());
-        std::vector<std::span<const double>> spans(active.size());
-        for (std::size_t i = 0; i < active.size(); ++i) {
-            records[i] = boards[active[i]].render(tb, settings_.distortion_periods,
-                                                  signal_path::through_dut,
-                                                  settings_.settle_periods);
-            spans[i] = records[i];
-        }
-        const auto thd = evaluators.measure_thd_lanes(
-            active, spans, screening.distortion_max_harmonic, settings_.distortion_periods);
-        for (std::size_t i = 0; i < active.size(); ++i) {
-            reports[active[i]].distortion_measured = true;
-            reports[active[i]].thd_db = thd[i].db;
-            reports[active[i]].thd_f_hz = f_hz;
-        }
-    }
-    progress.items_done(active.size());
-}
-
-double* sweep_engine::render_dut_lane_major(std::vector<demonstrator_board>& boards,
-                                            const std::vector<std::size_t>& active,
-                                            const sim::timebase& tb, std::size_t periods,
-                                            bistna::arena& scratch) {
-    const std::size_t lanes = active.size();
-    const std::size_t total = tb.samples_for_periods(settings_.settle_periods + periods);
-    const std::size_t keep_from = tb.samples_for_periods(settings_.settle_periods);
-    const std::size_t tail = total - keep_from;
-    double* out = scratch.allocate<double>(tail * lanes).data();
-
-    // Stage 1 per lane, straight from the shared cache (no tail copies).
-    std::vector<stimulus_cache::record_ptr> stairs(lanes);
-    bool same_staircase = true;
-    for (std::size_t i = 0; i < lanes; ++i) {
-        stairs[i] = boards[active[i]].stimulus_record(periods, settings_.settle_periods);
-        same_staircase = same_staircase && stairs[i].get() == stairs[0].get();
-    }
-
-    // Stage 2: the lockstep state-space pass when every lane is a prepared
-    // linear realization of bankable order -- the same reset / prepare /
-    // settle-block / tail-block sequence as render_from_stimulus, run
-    // lane-major across the group.
-    std::vector<dut::state_space*> realizations(lanes);
-    bool bankable = true;
-    for (std::size_t i = 0; i < lanes; ++i) {
-        auto& device = boards[active[i]].dut();
-        device.reset();
-        device.prepare(tb.master().value);
-        realizations[i] = device.linear_realization();
-        bankable = bankable && realizations[i] != nullptr;
-    }
-    if (bankable &&
-        dut::state_space_bank::compatible({realizations.data(), lanes})) {
-        dut::state_space_bank bank({realizations.data(), lanes}, scratch);
-        double* discard = scratch.allocate<double>(keep_from * lanes).data();
-        if (same_staircase) {
-            const double* input = stairs[0]->data();
-            bank.step_block_shared(input, keep_from, discard);
-            bank.step_block_shared(input + keep_from, tail, out);
-        } else {
-            const double** settle_inputs = scratch.allocate<const double*>(lanes).data();
-            const double** tail_inputs = scratch.allocate<const double*>(lanes).data();
-            for (std::size_t i = 0; i < lanes; ++i) {
-                settle_inputs[i] = stairs[i]->data();
-                tail_inputs[i] = stairs[i]->data() + keep_from;
-            }
-            bank.step_block_lanes(settle_inputs, keep_from, discard);
-            bank.step_block_lanes(tail_inputs, tail, out);
-        }
-        return out;
-    }
-
-    // Fallback (non-linear or high-order DUTs): scalar per-lane renders
-    // transposed into the lane-major layout -- bit-identical by definition.
-    for (std::size_t i = 0; i < lanes; ++i) {
-        const auto record = boards[active[i]].render_from_stimulus(
-            *stairs[i], tb, periods, signal_path::through_dut, settings_.settle_periods);
-        for (std::size_t n = 0; n < tail; ++n) {
-            out[n * lanes + i] = record[n];
-        }
-    }
-    return out;
-}
-
-void sweep_engine::screen_group_lane_major(const spec_mask& mask,
-                                           const screening_options& screening,
-                                           std::uint64_t first_seed, std::size_t count,
-                                           screening_report* reports,
-                                           const job_progress& progress) {
-    arena& scratch = worker_arena();
-    scratch.reset();
-
-    std::vector<demonstrator_board> boards;
-    boards.reserve(count);
-    for (std::size_t l = 0; l < count; ++l) {
-        boards.push_back(make_board(first_seed + l));
-    }
-    eval::batch_evaluator evaluators(
-        std::vector<eval::evaluator_config>(count, settings_.evaluator));
-    evaluators.set_shared_resources(demod_tables_.get(), &scratch,
-                                    calibration_share_.get());
-
-    // Stage 1 -- stimulus self-test through the calibration path.  The
-    // calibration record *is* the staircase tail, so the lanes read the
-    // shared cached record in place (one lockstep broadcast acquisition
-    // when every lane's staircase is the same cached record).
-    const auto cal_tb = sim::timebase::for_wave_frequency(kilohertz(1.0));
-    std::vector<stimulus_calibration> inputs(count);
-    std::vector<std::size_t> active;
-    active.reserve(count);
-    {
-        telemetry::trace_span calibrate_span("engine.calibrate");
-        calibrate_span.arg("lanes", static_cast<double>(count));
-        const std::size_t keep_from = cal_tb.samples_for_periods(settings_.settle_periods);
-        std::vector<stimulus_cache::record_ptr> stairs(count);
-        bool same_staircase = true;
-        for (std::size_t l = 0; l < count; ++l) {
-            stairs[l] =
-                boards[l].stimulus_record(settings_.periods, settings_.settle_periods);
-            same_staircase = same_staircase && stairs[l].get() == stairs[0].get();
-        }
-        std::vector<std::size_t> all(count);
-        std::iota(all.begin(), all.end(), std::size_t{0});
-        std::vector<eval::harmonic_measurement> measured;
-        if (same_staircase) {
-            const std::span<const double> tail(stairs[0]->data() + keep_from,
-                                               stairs[0]->size() - keep_from);
-            measured = evaluators.measure_harmonic_lanes_shared(all, tail, 1,
-                                                                settings_.periods);
-        } else {
-            std::vector<std::span<const double>> tails(count);
-            for (std::size_t l = 0; l < count; ++l) {
-                tails[l] = std::span<const double>(stairs[l]->data() + keep_from,
-                                                   stairs[l]->size() - keep_from);
-            }
-            measured = evaluators.measure_harmonic_lanes(all, tails, 1, settings_.periods);
-        }
-        for (std::size_t l = 0; l < count; ++l) {
-            inputs[l] = make_stimulus_calibration(measured[l]);
-            screening_report& report = reports[l];
-            report.stimulus_volts = inputs[l].amplitude.volts;
-            report.stimulus_phase_deg = rad_to_deg(inputs[l].phase.radians);
-            report.offset_rate = evaluators.extractor(l).offset_rate_ch1();
-            report.self_test_passed = stimulus_self_test(mask, report.stimulus_volts);
-            report.passed = report.self_test_passed;
-            if (report.self_test_passed || screening.continue_after_self_test_failure) {
-                active.push_back(l);
-            }
-        }
-    }
-    progress.items_done(count - active.size());
-    if (active.empty()) {
-        return;
-    }
-
-    // Stage 2 -- every mask limit: one banked state-space pass renders the
-    // active lanes' records lane-major, one lane-major lockstep acquisition
-    // consumes them with no transpose in between.
-    for (std::size_t limit_index = 0; limit_index < mask.limits.size(); ++limit_index) {
-        const auto& limit = mask.limits[limit_index];
-        const auto tb = sim::timebase::for_wave_frequency(hertz{limit.f_hz});
-        const double* lane_major = [&] {
-            telemetry::trace_span render_span("engine.render");
-            render_span.arg("lanes", static_cast<double>(active.size()));
-            return render_dut_lane_major(boards, active, tb, settings_.periods, scratch);
-        }();
-        telemetry::trace_span evaluate_span("engine.evaluate");
-        evaluate_span.arg("lanes", static_cast<double>(active.size()));
-        const auto outputs = evaluators.measure_harmonic_lanes_lane_major(
-            active, lane_major, 1, settings_.periods);
-        for (std::size_t i = 0; i < active.size(); ++i) {
-            const std::size_t l = active[i];
-            const auto point =
-                assemble_frequency_point(hertz{limit.f_hz}, inputs[l], outputs[i],
-                                         settings_.hold_compensation, boards[l].dut());
-            const auto result = evaluate_limit(limit, point, limit_index);
-            reports[l].passed = reports[l].passed && result.passed;
-            reports[l].limits.push_back(result);
-        }
-    }
-
-    // Stage 3 -- optional distortion, same banked render / lane-major
-    // acquisition shape at the distortion record length.
-    if (screening.measure_distortion) {
-        telemetry::trace_span thd_span("engine.thd");
-        thd_span.arg("lanes", static_cast<double>(active.size()));
-        const double f_hz = screening.distortion_f_hz > 0.0 ? screening.distortion_f_hz
-                                                            : mask.limits.front().f_hz;
-        const auto tb = sim::timebase::for_wave_frequency(hertz{f_hz});
-        const double* lane_major = render_dut_lane_major(
-            boards, active, tb, settings_.distortion_periods, scratch);
-        const auto thd = evaluators.measure_thd_lanes_lane_major(
-            active, lane_major, screening.distortion_max_harmonic,
-            settings_.distortion_periods);
+        const auto thd = group.thd(active, tb, screening.distortion_max_harmonic);
         for (std::size_t i = 0; i < active.size(); ++i) {
             reports[active[i]].distortion_measured = true;
             reports[active[i]].thd_db = thd[i].db;
@@ -674,29 +677,6 @@ lot_result sweep_engine::screen_lot(const spec_mask& mask, std::size_t dice,
 // --- Generic acquisition sessions ------------------------------------------
 
 namespace {
-
-/// Render one acquisition stage for one item, deduplicated through the
-/// batch's render share when the item carries a render key: identical
-/// boards produce bit-identical records (a render is a pure function of
-/// the board design), so the first item renders and the rest reuse.  The
-/// share is keyed on (render key, stage tag); the stage tag encodes the
-/// program stage, which pins (timebase, path, periods) within one batch.
-stimulus_cache::record_ptr render_stage(demonstrator_board& board,
-                                        stimulus_cache& shared_records,
-                                        std::uint64_t render_key, std::uint64_t stage_tag,
-                                        const sim::timebase& tb, std::size_t periods,
-                                        signal_path path, std::size_t settle_periods) {
-    auto render = [&] { return board.render(tb, periods, path, settle_periods); };
-    if (render_key == 0) {
-        return std::make_shared<const stimulus_cache::record>(render());
-    }
-    return shared_records.get_or_render(
-        stimulus_key{render_key, stage_tag, periods, settle_periods}, render);
-}
-
-/// Stage tags for render_stage: 0 is the calibration stage, 1 + i the i-th
-/// program frequency, 1 + frequencies.size() the distortion stage.
-constexpr std::uint64_t calibration_stage_tag = 0;
 
 eval::sample_source as_shared_source(stimulus_cache::record_ptr record) {
     return [record = std::move(record)](std::size_t n) { return (*record)[n]; };
@@ -824,60 +804,35 @@ void sweep_engine::acquire_group(const std::vector<acquisition_item>& items,
     boards.reserve(count);
     std::vector<eval::evaluator_config> configs;
     configs.reserve(count);
+    std::vector<std::uint64_t> render_keys;
+    render_keys.reserve(count);
     for (std::size_t l = 0; l < count; ++l) {
         boards.push_back(items[first + l].make_board());
         if (stimulus_cache_) {
             boards.back().set_stimulus_cache(stimulus_cache_);
         }
         configs.push_back(items[first + l].evaluator);
+        render_keys.push_back(items[first + l].render_key);
     }
-    eval::batch_evaluator evaluators(std::move(configs));
-    if (options_.pipeline == sweep_pipeline::lane_major) {
-        arena& scratch = worker_arena();
-        scratch.reset();
-        evaluators.set_shared_resources(demod_tables_.get(), &scratch,
-                                        calibration_share_.get());
-    }
-
-    std::vector<stimulus_cache::record_ptr> records(count);
-    std::vector<std::span<const double>> spans(count);
-    const auto render_all = [&](std::uint64_t stage_tag, const sim::timebase& tb,
-                                std::size_t periods, signal_path path) {
-        telemetry::trace_span render_span("engine.render");
-        render_span.arg("lanes", static_cast<double>(count));
-        for (std::size_t l = 0; l < count; ++l) {
-            records[l] = render_stage(boards[l], shared_records, items[first + l].render_key,
-                                      stage_tag, tb, periods, path, settings_.settle_periods);
-            spans[l] = *records[l];
-        }
-    };
+    lane_group group(std::move(boards), std::move(configs), settings_, *demod_tables_,
+                     *calibration_share_, std::move(render_keys), &shared_records);
 
     // Stage 1 -- calibration-path characterization (the scalar calibrate()).
-    const auto cal_tb = sim::timebase::for_wave_frequency(kilohertz(1.0));
-    render_all(calibration_stage_tag, cal_tb, settings_.periods, signal_path::calibration);
-    {
-        telemetry::trace_span calibrate_span("engine.calibrate");
-        calibrate_span.arg("lanes", static_cast<double>(count));
-        const auto measured = evaluators.measure_harmonic(spans, 1, settings_.periods);
-        for (std::size_t l = 0; l < count; ++l) {
-            results[l].calibration = make_stimulus_calibration(measured[l]);
-            results[l].offset_rate = evaluators.extractor(l).offset_rate_ch1();
-            results[l].points.reserve(program.frequencies.size());
-        }
+    const auto inputs = group.calibrate();
+    for (std::size_t l = 0; l < count; ++l) {
+        results[l].calibration = inputs[l];
+        results[l].offset_rate = group.offset_rate(l);
+        results[l].points.reserve(program.frequencies.size());
     }
 
     // Stage 2 -- fundamental gain/phase at every program frequency.
     for (std::size_t i = 0; i < program.frequencies.size(); ++i) {
         const hertz f = program.frequencies[i];
         const auto tb = sim::timebase::for_wave_frequency(f);
-        render_all(1 + i, tb, settings_.periods, signal_path::through_dut);
-        telemetry::trace_span evaluate_span("engine.evaluate");
-        evaluate_span.arg("lanes", static_cast<double>(count));
-        const auto outputs = evaluators.measure_harmonic(spans, 1, settings_.periods);
+        const auto outputs = group.fundamental(group.all(), {&tb, 1}, 1 + i);
         for (std::size_t l = 0; l < count; ++l) {
             results[l].points.push_back(
-                assemble_frequency_point(f, results[l].calibration, outputs[l],
-                                         settings_.hold_compensation, boards[l].dut()));
+                group.point(l, f, results[l].calibration, outputs[l]));
         }
     }
 
@@ -886,12 +841,8 @@ void sweep_engine::acquire_group(const std::vector<acquisition_item>& items,
         const hertz f = program.distortion_f.value > 0.0 ? program.distortion_f
                                                          : program.frequencies.front();
         const auto tb = sim::timebase::for_wave_frequency(f);
-        render_all(1 + program.frequencies.size(), tb, settings_.distortion_periods,
-                   signal_path::through_dut);
-        telemetry::trace_span thd_span("engine.thd");
-        thd_span.arg("lanes", static_cast<double>(count));
-        const auto thd = evaluators.measure_thd(spans, program.distortion_max_harmonic,
-                                                settings_.distortion_periods);
+        const auto thd = group.thd(group.all(), tb, program.distortion_max_harmonic,
+                                   1 + program.frequencies.size());
         for (std::size_t l = 0; l < count; ++l) {
             results[l].has_thd = true;
             results[l].thd_db = thd[l].db;

@@ -53,20 +53,6 @@ class calibration_share;
 
 namespace bistna::core {
 
-/// Execution pipeline of the lockstep lane groups.
-enum class sweep_pipeline {
-    /// Span-based scalar-render reference path: per-lane board renders, AoS
-    /// acquisition.  The bit-identity oracle and the roofline bench's
-    /// baseline.
-    reference,
-    /// Roofline path: banked DUT state-space pass emitting lane-major
-    /// records straight into lane-major evaluator kernels, arena-backed
-    /// scratch per worker, cached demodulation tables and calibration-state
-    /// transplant across identically-seeded lanes.  Bit-identical to
-    /// `reference` at any {threads, batch_lanes}.
-    lane_major,
-};
-
 struct sweep_engine_options {
     /// Worker threads of the engine's own pool; 0 picks
     /// std::thread::hardware_concurrency().  Ignored when `queue` is set.
@@ -92,16 +78,15 @@ struct sweep_engine_options {
     /// concurrently in flight -- threads x batch_lanes of them -- so the
     /// engine grows this floor to that product when it is larger.
     std::size_t stimulus_cache_entries = 64;
-    /// Dice (or Bode points) evaluated in lockstep per work item through
-    /// the SoA modulator bank (threads x lanes in flight overall).  1 runs
-    /// the scalar reference path; any lane count is bit-identical to it,
-    /// because lanes own independent seeded streams and never interact.
-    /// For Bode batches the lanes apply only with a shared calibration
-    /// (recalibrate_per_point falls back to the scalar path).
+    /// Dice (or Bode points, or acquisition items) evaluated in lockstep
+    /// per work item: one banked DUT render and one SoA modulator bank per
+    /// program stage (threads x lanes in flight overall).  1 runs the
+    /// scalar path, the bit-identity oracle; any lane count is
+    /// bit-identical to it, because lanes own independent seeded streams
+    /// and never interact.  For Bode batches the lanes apply only with a
+    /// shared calibration (recalibrate_per_point falls back to the scalar
+    /// path).
     std::size_t batch_lanes = 1;
-    /// How lane groups execute (see sweep_pipeline).  Every pipeline is
-    /// bit-identical; `reference` exists as the oracle and bench baseline.
-    sweep_pipeline pipeline = sweep_pipeline::lane_major;
     /// Self-tune {threads, batch_lanes} at construction: a short
     /// calibration probe screens a few synthetic dice at each candidate
     /// configuration and adopts the fastest (reported in stats()).  When a
@@ -124,7 +109,6 @@ struct autotune_candidate {
 struct sweep_stats {
     std::size_t threads = 0;
     std::size_t batch_lanes = 1;
-    sweep_pipeline pipeline = sweep_pipeline::lane_major;
     bool autotuned = false;
     double autotune_seconds = 0.0;
     std::vector<autotune_candidate> autotune_candidates;
@@ -274,8 +258,7 @@ public:
     /// is off).
     stimulus_cache_stats stimulus_stats() const;
 
-    /// Resolved configuration (post-autotune), pipeline and shared-resource
-    /// counters.
+    /// Resolved configuration (post-autotune) and shared-resource counters.
     sweep_stats stats() const;
 
 private:
@@ -288,48 +271,28 @@ private:
                                const std::optional<stimulus_calibration>& calibration,
                                std::size_t index);
 
-    /// A lane group of Bode points through one SoA modulator bank (the
-    /// shared-calibration lockstep path), points written to out[0..count).
+    // The three lane-group shapes below run the scalar program in
+    // lockstep over one stage runner (sweep_engine.cpp): every stage
+    // renders as a shared record or a banked lane-major block and feeds the
+    // lane-major evaluator kernels, with cached demodulation tables, the
+    // calibration transplant share and the worker's arena attached.
+
+    /// A lane group of Bode points (the shared-calibration lockstep path),
+    /// points written to out[0..count).  The lanes differ only in timebase.
     void bode_group(const std::vector<hertz>& frequencies, std::uint64_t board_seed,
                     const stimulus_calibration& calibration, std::size_t first,
                     std::size_t count, frequency_point* out);
 
-    /// Batched-lane screening of dice [first_seed, first_seed + count):
-    /// one board per lane, one lockstep batch evaluator, reports written to
-    /// reports[0..count).  Bit-identical per die to core::screen on a
-    /// scalar analyzer (lanes failing the self-test are dropped from later
-    /// acquisitions, exactly like the scalar early return -- unless the
-    /// diagnostic continue option keeps them in, exactly like the scalar
-    /// diagnostic path).
+    /// Batched-lane screening of dice [first_seed, first_seed + count),
+    /// reports written to reports[0..count).  Bit-identical per die to
+    /// core::screen on a scalar analyzer (lanes failing the self-test are
+    /// dropped from later acquisitions, exactly like the scalar early
+    /// return -- unless the diagnostic continue option keeps them in,
+    /// exactly like the scalar diagnostic path).
     void screen_group(const spec_mask& mask, const screening_options& screening,
                       std::uint64_t first_seed, std::size_t count,
                       screening_report* reports,
                       const job_progress& progress = {});
-
-    /// The roofline form of screen_group (options.pipeline == lane_major):
-    /// cached staircases feed a banked state-space pass whose lane-major
-    /// output feeds the lane-major evaluator kernels, with all scratch on
-    /// the worker's arena.  Bit-identical per die to screen_group.
-    void screen_group_lane_major(const spec_mask& mask, const screening_options& screening,
-                                 std::uint64_t first_seed, std::size_t count,
-                                 screening_report* reports,
-                                 const job_progress& progress = {});
-
-    /// Render the through-DUT stage of every active lane as one lane-major
-    /// block (sample n of active lane i at out[n * active.size() + i]),
-    /// arena-allocated.  Uses the state_space_bank lockstep pass when every
-    /// lane exposes a compatible linear realization, otherwise per-lane
-    /// scalar renders transposed into the same layout -- bit-identical
-    /// either way.  Returns the block of tb.samples_for_periods(periods)
-    /// rows.
-    double* render_dut_lane_major(std::vector<demonstrator_board>& boards,
-                                  const std::vector<std::size_t>& active,
-                                  const sim::timebase& tb, std::size_t periods,
-                                  bistna::arena& scratch);
-
-    /// Autotune probe (constructor helper): time candidate
-    /// {threads, batch_lanes} points and adopt the fastest into options_.
-    void run_autotune();
 
     /// Lockstep acquisition of items [first, first + count) of an acquire()
     /// batch, results written to results[0..count).  `shared_records` is
@@ -338,6 +301,10 @@ private:
                        const acquisition_program& program, std::size_t first,
                        std::size_t count, acquisition_result* results,
                        stimulus_cache& shared_records);
+
+    /// Autotune probe (constructor helper): time candidate
+    /// {threads, batch_lanes} points and adopt the fastest into options_.
+    void run_autotune();
 
     /// The scalar reference path of acquire(): one item through a plain
     /// sinewave evaluator, the exact call sequence screen()/measure_point
@@ -350,9 +317,9 @@ private:
     analyzer_settings settings_;
     sweep_engine_options options_;
     std::shared_ptr<stimulus_cache> stimulus_cache_;
-    /// Shared lane-major-pipeline resources: demodulation sign tables
-    /// (pure functions of the acquisition settings) and the calibration
-    /// transplant share.  Both thread-safe; both inert in reference mode.
+    /// Shared lane-group resources: demodulation sign tables (pure
+    /// functions of the acquisition settings) and the calibration
+    /// transplant share.  Both thread-safe.
     std::shared_ptr<eval::demod_table_cache> demod_tables_;
     std::shared_ptr<eval::calibration_share> calibration_share_;
     bool autotuned_ = false;

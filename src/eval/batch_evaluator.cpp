@@ -1,5 +1,6 @@
 #include "eval/batch_evaluator.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -130,14 +131,25 @@ void batch_evaluator::ensure_calibrated(std::span<const std::size_t> lane_ids) {
 
     if (calibration_share_ != nullptr) {
         pending = restore_pass(pending);
-        if (!pending.empty()) {
-            // A screening lot seeds every lane identically, so calibrating
-            // one exemplar and transplanting it covers the whole group even
-            // on the very first work item.
-            calibrate_lanes({pending.front()});
-            const std::vector<std::size_t> rest(pending.begin() + 1, pending.end());
-            pending = restore_pass(rest);
+        // Calibrate one exemplar per distinct (params, seed) in one
+        // lockstep pass, then transplant it to the rest: a screening lot
+        // seeds every lane identically and calibrates a single lane even on
+        // the very first work item, while a group seeded per lane (a
+        // dictionary build) calibrates all of them at once.
+        std::vector<std::size_t> exemplars;
+        std::vector<std::size_t> duplicates;
+        for (std::size_t lane : pending) {
+            const bool seen =
+                std::any_of(exemplars.begin(), exemplars.end(), [&](std::size_t e) {
+                    return configs_[e].seed == configs_[lane].seed &&
+                           configs_[e].modulator == configs_[lane].modulator;
+                });
+            (seen ? duplicates : exemplars).push_back(lane);
         }
+        if (!exemplars.empty()) {
+            calibrate_lanes(exemplars);
+        }
+        pending = restore_pass(duplicates);
     }
     if (!pending.empty()) {
         calibrate_lanes(pending);
@@ -165,75 +177,13 @@ std::vector<harmonic_measurement> batch_evaluator::assemble_harmonics(
     return out;
 }
 
-std::vector<dc_measurement> batch_evaluator::measure_dc(
-    std::span<const std::span<const double>> records, std::size_t periods) {
-    BISTNA_EXPECTS(records.size() == lanes(), "need exactly one record per lane");
-    ensure_calibrated(all_lanes_);
-    const auto lane_ptrs = lane_pointers(all_lanes_);
-    const acquisition_settings settings = settings_for(0, periods);
-    std::vector<signature_result> sigs;
-    if (scratch_ != nullptr) {
-        const auto tables = tables_for(settings);
-        sigs = signature_extractor::acquire_batch(lane_ptrs, records, settings, *tables,
-                                                  *scratch_);
-    } else {
-        sigs = signature_extractor::acquire_batch(lane_ptrs, records, settings);
-    }
-    std::vector<dc_measurement> out;
-    out.reserve(sigs.size());
-    for (const signature_result& sig : sigs) {
-        out.push_back(estimate_dc(sig));
-    }
-    return out;
-}
-
-std::vector<dc_measurement> batch_evaluator::measure_dc_lane_major(
-    const double* lane_major, std::size_t periods) {
-    ensure_calibrated(all_lanes_);
-    const auto lane_ptrs = lane_pointers(all_lanes_);
-    const acquisition_settings settings = settings_for(0, periods);
-    const auto tables = tables_for(settings);
-    const auto sigs = signature_extractor::acquire_batch_lane_major(lane_ptrs, lane_major,
-                                                                    settings, *tables);
-    std::vector<dc_measurement> out;
-    out.reserve(sigs.size());
-    for (const signature_result& sig : sigs) {
-        out.push_back(estimate_dc(sig));
-    }
-    return out;
-}
-
-std::vector<harmonic_measurement> batch_evaluator::measure_harmonic(
-    std::span<const std::span<const double>> records, std::size_t k, std::size_t periods) {
-    return measure_harmonic_lanes(all_lanes_, records, k, periods);
-}
-
 std::vector<harmonic_measurement> batch_evaluator::measure_harmonic_lanes(
     std::span<const std::size_t> lane_ids, std::span<const std::span<const double>> records,
     std::size_t k, std::size_t periods) {
     BISTNA_EXPECTS(lane_ids.size() == records.size(),
                    "need exactly one record per requested lane");
-    ensure_calibrated(lane_ids);
-
-    const auto lane_ptrs = lane_pointers(lane_ids);
-    const acquisition_settings settings = settings_for(k, periods);
-    telemetry::trace_span span("eval.modulate");
-    span.arg("lanes", static_cast<double>(lane_ids.size()));
-    span.arg("k", static_cast<double>(k));
-    std::vector<signature_result> sigs;
-    if (scratch_ != nullptr) {
-        const auto tables = tables_for(settings);
-        sigs = signature_extractor::acquire_batch(lane_ptrs, records, settings, *tables,
-                                                  *scratch_);
-    } else {
-        sigs = signature_extractor::acquire_batch(lane_ptrs, records, settings);
-    }
-    return assemble_harmonics(lane_ids, sigs);
-}
-
-std::vector<harmonic_measurement> batch_evaluator::measure_harmonic_lanes_lane_major(
-    std::span<const std::size_t> lane_ids, const double* lane_major, std::size_t k,
-    std::size_t periods) {
+    BISTNA_EXPECTS(scratch_ != nullptr,
+                   "per-lane record acquisition needs a scratch arena");
     ensure_calibrated(lane_ids);
     const auto lane_ptrs = lane_pointers(lane_ids);
     const acquisition_settings settings = settings_for(k, periods);
@@ -241,38 +191,37 @@ std::vector<harmonic_measurement> batch_evaluator::measure_harmonic_lanes_lane_m
     telemetry::trace_span span("eval.modulate");
     span.arg("lanes", static_cast<double>(lane_ids.size()));
     span.arg("k", static_cast<double>(k));
-    const auto sigs = signature_extractor::acquire_batch_lane_major(lane_ptrs, lane_major,
-                                                                    settings, *tables);
+    const auto sigs = signature_extractor::acquire_batch(lane_ptrs, records, settings,
+                                                         *tables, *scratch_);
     return assemble_harmonics(lane_ids, sigs);
 }
 
-std::vector<harmonic_measurement> batch_evaluator::measure_harmonic_lanes_shared(
-    std::span<const std::size_t> lane_ids, std::span<const double> record, std::size_t k,
+std::vector<harmonic_measurement> batch_evaluator::measure_harmonic_lanes(
+    std::span<const std::size_t> lane_ids, const lane_records& records, std::size_t k,
     std::size_t periods) {
     ensure_calibrated(lane_ids);
     const auto lane_ptrs = lane_pointers(lane_ids);
     const acquisition_settings settings = settings_for(k, periods);
+    BISTNA_EXPECTS(records.data != nullptr &&
+                       records.samples >= settings.periods * settings.n_per_period,
+                   "lane records shorter than M*N samples");
     const auto tables = tables_for(settings);
     telemetry::trace_span span("eval.modulate");
     span.arg("lanes", static_cast<double>(lane_ids.size()));
     span.arg("k", static_cast<double>(k));
-    const auto sigs = signature_extractor::acquire_batch_shared(lane_ptrs, record,
-                                                                settings, *tables);
+    const auto sigs =
+        records.shared
+            ? signature_extractor::acquire_batch_shared(
+                  lane_ptrs, {records.data, records.samples}, settings, *tables)
+            : signature_extractor::acquire_batch_lane_major(lane_ptrs, records.data,
+                                                            settings, *tables);
     return assemble_harmonics(lane_ids, sigs);
-}
-
-std::vector<thd_measurement> batch_evaluator::measure_thd(
-    std::span<const std::span<const double>> records, std::size_t max_harmonic,
-    std::size_t periods) {
-    return measure_thd_lanes(all_lanes_, records, max_harmonic, periods);
 }
 
 std::vector<thd_measurement> batch_evaluator::measure_thd_lanes(
-    std::span<const std::size_t> lane_ids, std::span<const std::span<const double>> records,
+    std::span<const std::size_t> lane_ids, const lane_records& records,
     std::size_t max_harmonic, std::size_t periods) {
     BISTNA_EXPECTS(max_harmonic >= 2, "THD needs at least harmonics 1..2");
-    BISTNA_EXPECTS(lane_ids.size() == records.size(),
-                   "need exactly one record per requested lane");
 
     std::vector<std::vector<amplitude_measurement>> per_lane(lane_ids.size());
     for (std::size_t k = 1; k <= max_harmonic; ++k) {
@@ -280,31 +229,6 @@ std::vector<thd_measurement> batch_evaluator::measure_thd_lanes(
             continue; // documented: harmonics violating N mod 4k == 0 are skipped
         }
         const auto harmonics = measure_harmonic_lanes(lane_ids, records, k, periods);
-        for (std::size_t i = 0; i < lane_ids.size(); ++i) {
-            per_lane[i].push_back(harmonics[i].amplitude);
-        }
-    }
-
-    std::vector<thd_measurement> out;
-    out.reserve(lane_ids.size());
-    for (std::size_t i = 0; i < lane_ids.size(); ++i) {
-        out.push_back(compute_thd_lenient(per_lane[i]));
-    }
-    return out;
-}
-
-std::vector<thd_measurement> batch_evaluator::measure_thd_lanes_lane_major(
-    std::span<const std::size_t> lane_ids, const double* lane_major,
-    std::size_t max_harmonic, std::size_t periods) {
-    BISTNA_EXPECTS(max_harmonic >= 2, "THD needs at least harmonics 1..2");
-
-    std::vector<std::vector<amplitude_measurement>> per_lane(lane_ids.size());
-    for (std::size_t k = 1; k <= max_harmonic; ++k) {
-        if (!demod_reference::alignment_ok(k, configs_.front().n_per_period)) {
-            continue; // documented: harmonics violating N mod 4k == 0 are skipped
-        }
-        const auto harmonics =
-            measure_harmonic_lanes_lane_major(lane_ids, lane_major, k, periods);
         for (std::size_t i = 0; i < lane_ids.size(); ++i) {
             per_lane[i].push_back(harmonics[i].amplitude);
         }

@@ -32,6 +32,18 @@ namespace bistna::eval {
 class demod_table_cache;
 class calibration_share;
 
+/// One program stage's records for the requested lanes of a lockstep
+/// acquisition, in a layout the lane-major kernels read in place: a single
+/// record every requested lane reads (`shared` -- a cached staircase, a
+/// render-key share), or a lane-major block with requested lane i's sample
+/// n at data[n * lane_ids.size() + i], exactly what dut::state_space_bank
+/// emits.
+struct lane_records {
+    const double* data = nullptr;
+    std::size_t samples = 0; ///< per-lane record length (>= M*N)
+    bool shared = false;
+};
+
 class batch_evaluator {
 public:
     /// One config per lane.  Seeds and modulator params may differ per
@@ -41,13 +53,14 @@ public:
 
     std::size_t lanes() const noexcept { return configs_.size(); }
 
-    /// Attach the engine's shared fast-path resources, all optional and all
-    /// bit-identical to the plain path: `tables` caches the per-stage
-    /// demodulation sign tables across work items, `scratch` bump-allocates
-    /// the transpose scratch of span-based acquisitions, and `calibration`
-    /// transplants post-calibration state between lanes with identical
-    /// (params, seed) instead of re-running the grounded calibration --
-    /// the dominant per-die cost of a screening flow.
+    /// Attach the engine's shared fast-path resources: `tables` caches the
+    /// per-stage demodulation sign tables across work items, `scratch`
+    /// bump-allocates the transpose scratch of per-lane-span acquisitions
+    /// (required by that form), and `calibration` transplants
+    /// post-calibration state between lanes with identical (params, seed)
+    /// instead of re-running the grounded calibration -- the dominant
+    /// per-die cost of a screening flow.  All bit-identical to the plain
+    /// path; tables and calibration are optional.
     void set_shared_resources(demod_table_cache* tables, arena* scratch,
                               calibration_share* calibration) noexcept;
 
@@ -55,66 +68,33 @@ public:
     /// lane (automatic on first use when the offset mode requires it).
     void calibrate();
 
-    /// DC level (k = 0) of every lane's record, eq. (3).
-    std::vector<dc_measurement> measure_dc(std::span<const std::span<const double>> records,
-                                           std::size_t periods);
+    // Every measurement runs over a subset of lanes: records belong to
+    // lane_ids[i] in order, and lanes outside the subset consume nothing
+    // (exactly like dice a scalar flow stopped measuring), so screening
+    // can drop a lane that failed its self-test without perturbing its
+    // neighbours.
 
-    /// Amplitude + phase of harmonic k for every lane, eqs. (4)-(5).
-    std::vector<harmonic_measurement> measure_harmonic(
-        std::span<const std::span<const double>> records, std::size_t k,
-        std::size_t periods);
-
-    /// Same, over a subset of lanes: records[i] belongs to lane
-    /// lane_ids[i].  Lanes outside the subset consume nothing (exactly like
-    /// dice a scalar flow stopped measuring), so screening can drop a lane
-    /// that failed its self-test without perturbing its neighbours.
+    /// Amplitude + phase of harmonic k, eqs. (4)-(5), over one record per
+    /// requested lane (records[i] belongs to lane lane_ids[i]).  Needs the
+    /// `scratch` arena of set_shared_resources.
     std::vector<harmonic_measurement> measure_harmonic_lanes(
         std::span<const std::size_t> lane_ids,
         std::span<const std::span<const double>> records, std::size_t k,
         std::size_t periods);
 
-    /// THD from harmonics 1..max_harmonic of every lane (skipping ks that
-    /// violate the alignment condition, like the scalar evaluator).
-    std::vector<thd_measurement> measure_thd(std::span<const std::span<const double>> records,
-                                             std::size_t max_harmonic, std::size_t periods);
-
-    /// Same, over a subset of lanes (records[i] belongs to lane
-    /// lane_ids[i]); lanes outside the subset consume nothing, exactly like
-    /// measure_harmonic_lanes.  Used by the diagnostic screening path so
-    /// self-test dropouts don't perturb their neighbours' distortion
-    /// measurements.
-    std::vector<thd_measurement> measure_thd_lanes(
-        std::span<const std::size_t> lane_ids,
-        std::span<const std::span<const double>> records, std::size_t max_harmonic,
+    /// Harmonic k of the requested lanes over a shared record or a
+    /// lane-major block (see lane_records).
+    std::vector<harmonic_measurement> measure_harmonic_lanes(
+        std::span<const std::size_t> lane_ids, const lane_records& records, std::size_t k,
         std::size_t periods);
 
-    // --- Lane-major fast paths (the roofline render->measure pipeline) ----
-    //
-    // Records arrive as one lane-major block -- row i of sample n at
-    // lane_major[n * lane_ids.size() + i], exactly what
-    // dut::state_space_bank emits -- or as a single record shared by every
-    // requested lane (the cache-shared calibration staircase).  Per-lane
-    // results are bit-identical to the span-based methods above at any lane
-    // count.
-
-    /// Harmonic k of the requested lanes over a lane-major record block.
-    std::vector<harmonic_measurement> measure_harmonic_lanes_lane_major(
-        std::span<const std::size_t> lane_ids, const double* lane_major, std::size_t k,
-        std::size_t periods);
-
-    /// THD of the requested lanes over a lane-major record block.
-    std::vector<thd_measurement> measure_thd_lanes_lane_major(
-        std::span<const std::size_t> lane_ids, const double* lane_major,
-        std::size_t max_harmonic, std::size_t periods);
-
-    /// Harmonic k of the requested lanes over one shared record.
-    std::vector<harmonic_measurement> measure_harmonic_lanes_shared(
-        std::span<const std::size_t> lane_ids, std::span<const double> record,
-        std::size_t k, std::size_t periods);
-
-    /// DC level of every lane over a lane-major record block.
-    std::vector<dc_measurement> measure_dc_lane_major(const double* lane_major,
-                                                      std::size_t periods);
+    /// THD from harmonics 1..max_harmonic of the requested lanes (skipping
+    /// ks that violate the alignment condition, like the scalar
+    /// evaluator), one lockstep pass per harmonic over the same records.
+    std::vector<thd_measurement> measure_thd_lanes(std::span<const std::size_t> lane_ids,
+                                                   const lane_records& records,
+                                                   std::size_t max_harmonic,
+                                                   std::size_t periods);
 
     signature_extractor& extractor(std::size_t lane);
     const evaluator_config& config(std::size_t lane) const;

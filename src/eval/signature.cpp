@@ -225,40 +225,6 @@ std::vector<signature_result> signature_extractor::acquire_batch_impl(
     return results;
 }
 
-namespace {
-
-/// Per-lane record pointers with the length precondition checked.
-std::vector<const double*> lane_record_pointers(
-    std::span<const std::span<const double>> records, std::size_t total) {
-    std::vector<const double*> pointers(records.size());
-    for (std::size_t l = 0; l < records.size(); ++l) {
-        BISTNA_EXPECTS(records[l].size() >= total, "lane record shorter than M*N samples");
-        pointers[l] = records[l].data();
-    }
-    return pointers;
-}
-
-} // namespace
-
-std::vector<signature_result> signature_extractor::acquire_batch(
-    std::span<signature_extractor* const> extractors,
-    std::span<const std::span<const double>> records, const acquisition_settings& settings) {
-    BISTNA_EXPECTS(extractors.size() == records.size(),
-                   "batch acquisition needs one record per lane");
-    const demod_tables tables = demod_tables::build(settings);
-    const std::size_t total = settings.periods * settings.n_per_period;
-    const auto lane_records = lane_record_pointers(records, total);
-    return acquire_batch_impl(
-        extractors, settings, tables,
-        [&](sd::modulator_bank& bank1, sd::modulator_bank& bank2, double* acc1,
-            double* acc2) {
-            bank1.accumulate(lane_records.data(), tables.q1.data(), tables.acc_sign.data(),
-                             total, acc1);
-            bank2.accumulate(lane_records.data(), tables.q2.data(), tables.acc_sign.data(),
-                             total, acc2);
-        });
-}
-
 std::vector<signature_result> signature_extractor::acquire_batch(
     std::span<signature_extractor* const> extractors,
     std::span<const std::span<const double>> records, const acquisition_settings& settings,
@@ -266,7 +232,11 @@ std::vector<signature_result> signature_extractor::acquire_batch(
     BISTNA_EXPECTS(extractors.size() == records.size(),
                    "batch acquisition needs one record per lane");
     const std::size_t total = settings.periods * settings.n_per_period;
-    const auto lane_records = lane_record_pointers(records, total);
+    std::vector<const double*> lane_records(records.size());
+    for (std::size_t l = 0; l < records.size(); ++l) {
+        BISTNA_EXPECTS(records[l].size() >= total, "lane record shorter than M*N samples");
+        lane_records[l] = records[l].data();
+    }
     return acquire_batch_impl(
         extractors, settings, tables,
         [&](sd::modulator_bank& bank1, sd::modulator_bank& bank2, double* acc1,

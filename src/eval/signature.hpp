@@ -133,30 +133,20 @@ public:
     // under any lane permutation (lanes never interact).  The scalar
     // members above remain the reference implementation.
 
-    /// Batched acquire: lane i accumulates its signatures from records[i]
-    /// (the rendered record on the master-clock grid, length >= M*N), all
-    /// lanes stepped in lockstep through one modulator bank per channel.
-    /// Bit-identical to extractors[i]->acquire(as_source(records[i]), s).
-    static std::vector<signature_result> acquire_batch(
-        std::span<signature_extractor* const> extractors,
-        std::span<const std::span<const double>> records,
-        const acquisition_settings& settings);
-
     /// Batched grounded-input offset calibration; bit-identical per lane to
     /// extractors[i]->calibrate_offset(periods, n_per_period).
     static void calibrate_offset_batch(std::span<signature_extractor* const> extractors,
                                        std::size_t periods = 4096,
                                        std::size_t n_per_period = 96);
 
-    // --- Lane-major fast paths (the sweep workers' roofline pipeline) -----
-    //
-    // Same contract as acquire_batch -- per-lane bit-identity to the scalar
-    // acquire at any lane count -- with the per-call table build and heap
-    // churn removed: demodulation signs come from a prebuilt demod_tables
-    // (eval::demod_table_cache) and transpose scratch from the worker's
-    // arena.
+    // Demodulation signs come from a prebuilt demod_tables
+    // (eval::demod_table_cache), so no acquisition rebuilds them per call.
 
-    /// acquire_batch with prebuilt tables and arena transpose scratch.
+    /// Batched acquire: lane i accumulates its signatures from records[i]
+    /// (the rendered record on the master-clock grid, length >= M*N), all
+    /// lanes stepped in lockstep through one modulator bank per channel,
+    /// with the blocked transpose scratch bump-allocated from `scratch`.
+    /// Bit-identical to extractors[i]->acquire(as_source(records[i]), s).
     static std::vector<signature_result> acquire_batch(
         std::span<signature_extractor* const> extractors,
         std::span<const std::span<const double>> records,

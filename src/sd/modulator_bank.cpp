@@ -283,38 +283,6 @@ void modulator_bank::accumulate(const double* const* records, const unsigned cha
                                 arena& scratch) noexcept {
     const std::size_t n_lanes = lanes();
     if (any_noise_) {
-        accumulate(records, qs, acc_signs, count, acc);
-        return;
-    }
-    // Same blocked transpose as the allocating overload, with the scratch
-    // rows bump-allocated from the worker's arena instead of the heap.
-    constexpr std::size_t block = 128;
-    const auto transposed = scratch.allocate<double>(block * n_lanes);
-    const auto qsigns = scratch.allocate<double>(block);
-    for (std::size_t n0 = 0; n0 < count; n0 += block) {
-        const std::size_t samples = std::min(block, count - n0);
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            const double* __restrict record = records[l] + n0;
-            double* __restrict column = transposed.data() + l;
-            for (std::size_t j = 0; j < samples; ++j) {
-                column[j * n_lanes] = record[j];
-            }
-        }
-        for (std::size_t j = 0; j < samples; ++j) {
-            qsigns[j] = qs[n0 + j] != 0 ? 1.0 : -1.0;
-        }
-        noiseless_block(samples, n_lanes, transposed.data(), qsigns.data(), acc_signs + n0,
-                        acc, state_.data(), last_.data(), leak_.data(), b_.data(),
-                        vref_.data(), input_offset_.data(), settle_gain_.data(),
-                        swing_.data(), cmp_offset_.data(), cmp_hyst_.data(), clip_.data());
-    }
-}
-
-void modulator_bank::accumulate(const double* const* records, const unsigned char* qs,
-                                const double* acc_signs, std::size_t count,
-                                double* acc) noexcept {
-    const std::size_t n_lanes = lanes();
-    if (any_noise_) {
         const lane_view v{state_.data(),       last_.data(),      leak_.data(),
                           b_.data(),           vref_.data(),      input_offset_.data(),
                           settle_gain_.data(), swing_.data(),     cmp_offset_.data(),
@@ -333,8 +301,8 @@ void modulator_bank::accumulate(const double* const* records, const unsigned cha
     // blocks so the lockstep kernel reads one contiguous row per sample
     // (the compiler cannot vectorize the records[l][n] pointer-chase).
     constexpr std::size_t block = 128;
-    std::vector<double> transposed(block * n_lanes);
-    std::vector<double> qsigns(block);
+    const auto transposed = scratch.allocate<double>(block * n_lanes);
+    const auto qsigns = scratch.allocate<double>(block);
     for (std::size_t n0 = 0; n0 < count; n0 += block) {
         const std::size_t samples = std::min(block, count - n0);
         for (std::size_t l = 0; l < n_lanes; ++l) {

@@ -47,9 +47,12 @@ public:
     /// records[l][n] with modulation control qs[n] (nonzero = positive,
     /// shared across lanes) and accumulates acc[l] += acc_signs[n] * bit --
     /// the eqs. (3)-(5) signature counters of every lane in one pass.  The
-    /// +/-1 sums are exact in double up to 2^53 counts.
+    /// +/-1 sums are exact in double up to 2^53 counts.  The blocked
+    /// transpose scratch is bump-allocated from `scratch` (the sweep
+    /// workers' per-item arena), never from the heap.
     void accumulate(const double* const* records, const unsigned char* qs,
-                    const double* acc_signs, std::size_t count, double* acc) noexcept;
+                    const double* acc_signs, std::size_t count, double* acc,
+                    arena& scratch) noexcept;
 
     /// accumulate() over records that are already *lane-major*: sample n's
     /// inputs live at xs[n * lanes() .. n * lanes() + lanes()), exactly the
@@ -68,12 +71,6 @@ public:
     void accumulate_shared(const double* record, const double* qsigns,
                            const double* acc_signs, std::size_t count,
                            double* acc) noexcept;
-
-    /// accumulate() with the transpose scratch bump-allocated from `scratch`
-    /// instead of the heap (the sweep workers' per-item arena).
-    void accumulate(const double* const* records, const unsigned char* qs,
-                    const double* acc_signs, std::size_t count, double* acc,
-                    arena& scratch) noexcept;
 
     /// Grounded-input lockstep run (input 0, positive modulation, unit
     /// accumulation sign): the offset-calibration hot loop.

@@ -96,20 +96,6 @@ eval::offset_mode offset_from_name(const std::string& name) {
     field_error("offset", "expected none|calibrated|chopped, got \"" + name + "\"");
 }
 
-const char* pipeline_name(core::sweep_pipeline pipeline) {
-    return pipeline == core::sweep_pipeline::reference ? "reference" : "lane_major";
-}
-
-core::sweep_pipeline pipeline_from_name(const std::string& name) {
-    if (name == "reference") {
-        return core::sweep_pipeline::reference;
-    }
-    if (name == "lane_major") {
-        return core::sweep_pipeline::lane_major;
-    }
-    field_error("engine.pipeline", "expected reference|lane_major, got \"" + name + "\"");
-}
-
 } // namespace
 
 const char* workload_name(workload_kind kind) noexcept {
@@ -186,7 +172,6 @@ core::sweep_engine_options lot_manifest::make_engine_options() const {
     core::sweep_engine_options options;
     options.threads = threads;
     options.batch_lanes = batch_lanes;
-    options.pipeline = pipeline;
     return options;
 }
 
@@ -235,7 +220,7 @@ std::string lot_manifest::to_json() const {
         << ", \"nominal_seed\": " << nominal_seed
         << ", \"eval_seed_base\": " << eval_seed_base << "},\n"
         << "  \"engine\": {\"threads\": " << threads << ", \"lanes\": " << batch_lanes
-        << ", \"pipeline\": \"" << pipeline_name(pipeline) << "\"}\n"
+        << "}\n"
         << "}\n";
     return out.str();
 }
@@ -340,8 +325,6 @@ lot_manifest lot_manifest::from_value(const json_value& root) {
                     manifest.threads = get_u64(field, k);
                 } else if (k == "lanes") {
                     manifest.batch_lanes = get_u64(field, k);
-                } else if (k == "pipeline") {
-                    manifest.pipeline = pipeline_from_name(get_string(field, k));
                 } else {
                     return false;
                 }

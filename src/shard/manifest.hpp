@@ -72,9 +72,10 @@ struct lot_manifest {
     std::uint64_t eval_seed_base = 0xD1A65EEDULL;
 
     // --- per-worker engine ------------------------------------------------
+    // JSON "engine": {"threads", "lanes"}; any other key (the removed
+    // "pipeline" included) is rejected.
     std::size_t threads = 1;
     std::size_t batch_lanes = 8;
-    core::sweep_pipeline pipeline = core::sweep_pipeline::lane_major;
 
     /// Units the whole lot fans out: dice (screening) or acquisition items
     /// (dictionary -- 1 healthy reference + faults x grid_points).

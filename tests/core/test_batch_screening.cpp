@@ -10,6 +10,7 @@
 #include "core/sweep.hpp"
 #include "core/sweep_engine.hpp"
 #include "dut/filters.hpp"
+#include "dut/nonlinear.hpp"
 
 namespace {
 
@@ -41,6 +42,20 @@ core::board_factory make_factory(double sigma) {
     return [sigma](std::uint64_t seed) {
         core::demonstrator_board board(gen::generator_params::ideal(),
                                        dut::make_paper_dut(sigma, seed));
+        board.set_amplitude(millivolt(150.0));
+        return board;
+    };
+}
+
+/// Factory whose DUTs cannot be banked (no linear realization): lane groups
+/// render them through the scalar-render transpose.  With `mixed`, only
+/// odd seeds are non-linear, so groups mix bankable and unbankable lanes.
+core::board_factory make_unbankable_factory(double sigma, bool mixed = false) {
+    return [sigma, mixed](std::uint64_t seed) {
+        auto device = !mixed || seed % 2 == 1
+                          ? dut::make_paper_dut_with_distortion(sigma, seed)
+                          : dut::make_paper_dut(sigma, seed);
+        core::demonstrator_board board(gen::generator_params::ideal(), std::move(device));
         board.set_amplitude(millivolt(150.0));
         return board;
     };
@@ -87,13 +102,15 @@ std::vector<screening_report> screen_with_lanes(const core::board_factory& facto
 }
 
 TEST(BatchScreening, LaneCountsBitIdenticalToScalarPath) {
-    const auto factory = make_factory(0.03);
     const auto settings = fast_settings();
     const std::size_t dice = 10; // deliberately not a multiple of the lane counts
-    const auto scalar = screen_with_lanes(factory, settings, dice, 2, 1);
-    expect_reports_identical(scalar, screen_with_lanes(factory, settings, dice, 2, 4));
-    expect_reports_identical(scalar, screen_with_lanes(factory, settings, dice, 2, 8));
-    expect_reports_identical(scalar, screen_with_lanes(factory, settings, dice, 1, 4));
+    for (const auto& factory : {make_factory(0.03), make_unbankable_factory(0.03),
+                                make_unbankable_factory(0.03, true)}) {
+        const auto scalar = screen_with_lanes(factory, settings, dice, 2, 1);
+        expect_reports_identical(scalar, screen_with_lanes(factory, settings, dice, 2, 4));
+        expect_reports_identical(scalar, screen_with_lanes(factory, settings, dice, 2, 8));
+        expect_reports_identical(scalar, screen_with_lanes(factory, settings, dice, 1, 4));
+    }
 }
 
 TEST(BatchScreening, CalibratedOffsetModeBitIdenticalAcrossLanes) {
@@ -134,29 +151,31 @@ TEST(BatchScreening, ScreenLotParallelMatchesSequentialScreenLot) {
 }
 
 TEST(BatchScreening, BodeSweepLanesBitIdenticalToScalarPath) {
-    const auto factory = make_factory(0.01);
     auto settings = fast_settings();
     const auto frequencies = core::log_spaced(hertz{100.0}, kilohertz(10.0), 11);
 
-    auto run_with_lanes = [&](std::size_t lanes) {
-        sweep_engine_options options;
-        options.threads = 2;
-        options.batch_lanes = lanes;
-        sweep_engine engine(factory, settings, options);
-        return engine.run(frequencies);
-    };
+    for (const auto& factory : {make_factory(0.01), make_unbankable_factory(0.01)}) {
+        auto run_with_lanes = [&](std::size_t lanes) {
+            sweep_engine_options options;
+            options.threads = 2;
+            options.batch_lanes = lanes;
+            sweep_engine engine(factory, settings, options);
+            return engine.run(frequencies);
+        };
 
-    const auto scalar = run_with_lanes(1);
-    for (std::size_t lanes : {std::size_t{4}, std::size_t{5}}) {
-        const auto batched = run_with_lanes(lanes);
-        ASSERT_EQ(scalar.points.size(), batched.points.size());
-        for (std::size_t i = 0; i < scalar.points.size(); ++i) {
-            EXPECT_EQ(scalar.points[i].gain_db, batched.points[i].gain_db)
-                << "lanes " << lanes << " point " << i;
-            EXPECT_EQ(scalar.points[i].gain_db_bounds, batched.points[i].gain_db_bounds);
-            EXPECT_EQ(scalar.points[i].phase_deg, batched.points[i].phase_deg);
-            EXPECT_EQ(scalar.points[i].phase_deg_bounds, batched.points[i].phase_deg_bounds);
-            EXPECT_EQ(scalar.points[i].ideal_gain_db, batched.points[i].ideal_gain_db);
+        const auto scalar = run_with_lanes(1);
+        for (std::size_t lanes : {std::size_t{4}, std::size_t{5}}) {
+            const auto batched = run_with_lanes(lanes);
+            ASSERT_EQ(scalar.points.size(), batched.points.size());
+            for (std::size_t i = 0; i < scalar.points.size(); ++i) {
+                EXPECT_EQ(scalar.points[i].gain_db, batched.points[i].gain_db)
+                    << "lanes " << lanes << " point " << i;
+                EXPECT_EQ(scalar.points[i].gain_db_bounds, batched.points[i].gain_db_bounds);
+                EXPECT_EQ(scalar.points[i].phase_deg, batched.points[i].phase_deg);
+                EXPECT_EQ(scalar.points[i].phase_deg_bounds,
+                          batched.points[i].phase_deg_bounds);
+                EXPECT_EQ(scalar.points[i].ideal_gain_db, batched.points[i].ideal_gain_db);
+            }
         }
     }
 }

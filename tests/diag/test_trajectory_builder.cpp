@@ -120,7 +120,8 @@ TEST(TrajectoryBuilder, ReportSignatureIsCommensurateWithDictionary) {
 
 // The generic acquisition path itself: lanes = 1 (scalar evaluator) and
 // lanes > 1 (modulator bank) agree bit-for-bit, with and without shared
-// render keys.
+// render keys -- including a batch that mixes keyed and unkeyed items with
+// key boundaries inside the lane groups.
 TEST(SweepEngineAcquire, LanesAndRenderSharingAreBitIdentical) {
     const auto settings = fast_settings();
     const diag::die_design design;
@@ -141,18 +142,46 @@ TEST(SweepEngineAcquire, LanesAndRenderSharingAreBitIdentical) {
         return items;
     };
 
-    const auto run = [&](std::size_t lanes, std::uint64_t render_key) {
+    // Mixed batch: keys 0xA (die 1) and 0xB (die 2) around unkeyed items on
+    // other dice, one of them with a drifted generator (its own staircase).
+    diag::die_design varied;
+    varied.dut_tolerance_sigma = 0.05;
+    diag::die_design drifted = varied;
+    core::analyzer_settings unused = settings;
+    diag::apply_fault(diag::fault_kind::biquad_cap_drift, 0.1, drifted, unused);
+    struct mixed_item {
+        const diag::die_design* design;
+        std::uint64_t seed;
+        std::uint64_t key;
+    };
+    const std::vector<mixed_item> mixed = {
+        {&varied, 1, 0xA}, {&varied, 1, 0xA}, {&varied, 3, 0},    {&varied, 2, 0xB},
+        {&varied, 2, 0xB}, {&varied, 2, 0xB}, {&drifted, 4, 0},   {&varied, 1, 0xA},
+    };
+    const auto make_mixed_items = [&](bool keyed) {
+        std::vector<core::sweep_engine::acquisition_item> items(mixed.size());
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            items[i].make_board = [factory = mixed[i].design->factory(),
+                                   seed = mixed[i].seed] { return factory(seed); };
+            items[i].evaluator = settings.evaluator;
+            items[i].evaluator.seed = core::sweep_item_seed(11, i);
+            items[i].render_key = keyed ? mixed[i].key : 0;
+        }
+        return items;
+    };
+
+    const auto run = [&](std::size_t lanes,
+                         const std::vector<core::sweep_engine::acquisition_item>& items) {
         core::sweep_engine_options options;
         options.threads = 2;
         options.batch_lanes = lanes;
         core::sweep_engine engine(design.factory(), settings, options);
-        return engine.acquire(make_items(render_key), program);
+        return engine.acquire(items, program);
     };
 
-    const auto reference = run(1, 0);
-    for (std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        for (std::uint64_t key : {std::uint64_t{0}, std::uint64_t{0xABCD}}) {
-            const auto results = run(lanes, key);
+    const auto expect_identical =
+        [](const std::vector<core::sweep_engine::acquisition_result>& results,
+           const std::vector<core::sweep_engine::acquisition_result>& reference) {
             ASSERT_EQ(results.size(), reference.size());
             for (std::size_t i = 0; i < results.size(); ++i) {
                 EXPECT_EQ(results[i].calibration.amplitude.volts,
@@ -169,7 +198,18 @@ TEST(SweepEngineAcquire, LanesAndRenderSharingAreBitIdentical) {
                               reference[i].points[p].phase_deg);
                 }
             }
+        };
+
+    const auto reference = run(1, make_items(0));
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        for (std::uint64_t key : {std::uint64_t{0}, std::uint64_t{0xABCD}}) {
+            expect_identical(run(lanes, make_items(key)), reference);
         }
+    }
+
+    const auto mixed_reference = run(1, make_mixed_items(false));
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
+        expect_identical(run(lanes, make_mixed_items(true)), mixed_reference);
     }
 }
 

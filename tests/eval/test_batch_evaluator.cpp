@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "common/arena.hpp"
 #include "common/math_util.hpp"
 #include "eval/batch_evaluator.hpp"
 #include "eval/evaluator.hpp"
@@ -18,7 +19,9 @@ namespace {
 using namespace bistna;
 using eval::acquisition_settings;
 using eval::batch_evaluator;
+using eval::demod_tables;
 using eval::evaluator_config;
+using eval::lane_records;
 using eval::offset_mode;
 using eval::signature_extractor;
 using eval::signature_result;
@@ -86,7 +89,9 @@ TEST_P(AcquireBatchModes, BitIdenticalToScalarAcquirePerLane) {
         spans.emplace_back(records[l]);
     }
 
-    const auto batched = signature_extractor::acquire_batch(lane_ptrs, spans, settings);
+    arena scratch;
+    const auto batched = signature_extractor::acquire_batch(
+        lane_ptrs, spans, settings, demod_tables::build(settings), scratch);
     ASSERT_EQ(batched.size(), n_lanes);
     for (std::size_t l = 0; l < n_lanes; ++l) {
         const auto scalar = scalar_lanes[l].acquire(
@@ -131,13 +136,16 @@ TEST(AcquireBatch, RejectsMismatchedAndShortInputs) {
     settings.periods = 10;
     settings.offset = offset_mode::none;
 
-    const auto record = lane_record(0, 10);
+    const auto tables = demod_tables::build(settings);
+    arena scratch;
     std::vector<std::span<const double>> no_records;
-    EXPECT_THROW((void)signature_extractor::acquire_batch(lanes, no_records, settings),
+    EXPECT_THROW((void)signature_extractor::acquire_batch(lanes, no_records, settings, tables,
+                                                          scratch),
                  precondition_error);
     const std::vector<double> short_record(5);
     std::vector<std::span<const double>> short_spans = {short_record};
-    EXPECT_THROW((void)signature_extractor::acquire_batch(lanes, short_spans, settings),
+    EXPECT_THROW((void)signature_extractor::acquire_batch(lanes, short_spans, settings,
+                                                          tables, scratch),
                  precondition_error);
 }
 
@@ -159,6 +167,8 @@ TEST(BatchEvaluator, HarmonicMeasurementsBitIdenticalToScalarEvaluator) {
         configs.push_back(lane_config(300 + l, offset_mode::calibrated));
     }
     batch_evaluator batch(configs);
+    arena scratch;
+    batch.set_shared_resources(nullptr, &scratch, nullptr);
 
     std::vector<std::vector<double>> records;
     std::vector<std::span<const double>> spans;
@@ -169,7 +179,8 @@ TEST(BatchEvaluator, HarmonicMeasurementsBitIdenticalToScalarEvaluator) {
         spans.emplace_back(record);
     }
 
-    const auto batched = batch.measure_harmonic(spans, 1, periods);
+    const std::vector<std::size_t> all = {0, 1, 2, 3};
+    const auto batched = batch.measure_harmonic_lanes(all, spans, 1, periods);
     ASSERT_EQ(batched.size(), n_lanes);
     for (std::size_t l = 0; l < n_lanes; ++l) {
         eval::sinewave_evaluator scalar(configs[l]);
@@ -195,31 +206,62 @@ TEST(BatchEvaluator, DcAndThdBitIdenticalToScalarEvaluator) {
         configs.push_back(lane_config(700 + l, offset_mode::none));
     }
     std::vector<std::vector<double>> records;
-    std::vector<std::span<const double>> spans;
     for (std::size_t l = 0; l < n_lanes; ++l) {
         records.push_back(lane_record(l, periods));
     }
-    for (const auto& record : records) {
-        spans.emplace_back(record);
+    const std::size_t samples = records.front().size();
+    std::vector<double> lane_major(samples * n_lanes);
+    for (std::size_t l = 0; l < n_lanes; ++l) {
+        for (std::size_t n = 0; n < samples; ++n) {
+            lane_major[n * n_lanes + l] = records[l][n];
+        }
     }
+    const std::vector<std::size_t> all = {0, 1, 2};
 
-    batch_evaluator dc_batch(configs);
-    const auto dc = dc_batch.measure_dc(spans, periods);
+    // DC (k = 0) through the lane-major acquisition kernel.
+    std::vector<signature_extractor> dc_lanes;
+    std::vector<signature_extractor*> dc_ptrs;
+    for (const auto& config : configs) {
+        dc_lanes.emplace_back(config.modulator, config.seed);
+    }
+    for (auto& lane : dc_lanes) {
+        dc_ptrs.push_back(&lane);
+    }
+    acquisition_settings dc_settings;
+    dc_settings.harmonic_k = 0;
+    dc_settings.periods = periods;
+    dc_settings.offset = offset_mode::none;
+    const auto dc_sigs = signature_extractor::acquire_batch_lane_major(
+        dc_ptrs, lane_major.data(), dc_settings, demod_tables::build(dc_settings));
+
+    // THD over the lane-major block, and over one record every lane shares.
     batch_evaluator thd_batch(configs);
-    const auto thd = thd_batch.measure_thd(spans, 3, periods);
-    ASSERT_EQ(dc.size(), n_lanes);
+    const auto thd =
+        thd_batch.measure_thd_lanes(all, lane_records{lane_major.data(), samples}, 3, periods);
+    batch_evaluator shared_batch(configs);
+    const auto shared_thd = shared_batch.measure_thd_lanes(
+        all, lane_records{records[0].data(), samples, true}, 3, periods);
+    ASSERT_EQ(dc_sigs.size(), n_lanes);
     ASSERT_EQ(thd.size(), n_lanes);
+    ASSERT_EQ(shared_thd.size(), n_lanes);
     for (std::size_t l = 0; l < n_lanes; ++l) {
         auto source = [&records, l](std::size_t n) { return records[l][n]; };
         eval::sinewave_evaluator scalar_dc(configs[l]);
         const auto expected_dc = scalar_dc.measure_dc(source, periods);
-        EXPECT_EQ(expected_dc.volts, dc[l].volts) << "lane " << l;
-        EXPECT_EQ(expected_dc.bounds_volts, dc[l].bounds_volts) << "lane " << l;
+        const auto dc = eval::estimate_dc(dc_sigs[l]);
+        EXPECT_EQ(expected_dc.volts, dc.volts) << "lane " << l;
+        EXPECT_EQ(expected_dc.bounds_volts, dc.bounds_volts) << "lane " << l;
 
         eval::sinewave_evaluator scalar_thd(configs[l]);
         const auto expected_thd = scalar_thd.measure_thd(source, 3, periods);
         EXPECT_EQ(expected_thd.db, thd[l].db) << "lane " << l;
         EXPECT_EQ(expected_thd.bounds_db, thd[l].bounds_db) << "lane " << l;
+
+        auto shared_source = [&records](std::size_t n) { return records[0][n]; };
+        eval::sinewave_evaluator scalar_shared(configs[l]);
+        const auto expected_shared = scalar_shared.measure_thd(shared_source, 3, periods);
+        EXPECT_EQ(expected_shared.db, shared_thd[l].db) << "lane " << l;
+        EXPECT_EQ(expected_shared.bounds_db, shared_thd[l].bounds_db) << "lane " << l;
     }
 }
 
@@ -231,6 +273,8 @@ TEST(BatchEvaluator, LaneSubsetAcquisitionLeavesOtherLanesUntouched) {
                                              lane_config(2, offset_mode::calibrated),
                                              lane_config(3, offset_mode::calibrated)};
     batch_evaluator batch(configs);
+    arena scratch;
+    batch.set_shared_resources(nullptr, &scratch, nullptr);
 
     std::vector<std::vector<double>> records;
     for (std::size_t l = 0; l < configs.size(); ++l) {
@@ -242,7 +286,8 @@ TEST(BatchEvaluator, LaneSubsetAcquisitionLeavesOtherLanesUntouched) {
     }
 
     // First acquisition over all lanes, second over lanes {0, 2} only.
-    const auto first = batch.measure_harmonic(all_spans, 1, periods);
+    const std::vector<std::size_t> all = {0, 1, 2};
+    const auto first = batch.measure_harmonic_lanes(all, all_spans, 1, periods);
     const std::vector<std::size_t> subset = {0, 2};
     std::vector<std::span<const double>> subset_spans = {records[0], records[2]};
     const auto second = batch.measure_harmonic_lanes(subset, subset_spans, 1, periods);

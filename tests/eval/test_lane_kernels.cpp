@@ -1,5 +1,5 @@
-// Lane-major evaluation kernels: every fast-path acquisition variant
-// (prebuilt tables + arena, lane-major block, shared broadcast record) and
+// Lane-major evaluation kernels: every batched acquisition variant
+// (per-lane records + arena, lane-major block, shared broadcast record) and
 // the lane-major Goertzel must be bit-identical to the scalar references,
 // and the shared-resource caches (demod tables, calibration transplant)
 // must be transparent.
@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <complex>
+#include <span>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -57,6 +58,19 @@ struct lane_set {
     }
 };
 
+/// The scalar oracle: each lane's own extractor acquiring its own record.
+std::vector<eval::signature_result>
+scalar_acquire(lane_set& lanes, const std::vector<std::span<const double>>& records,
+               const acquisition_settings& settings) {
+    std::vector<eval::signature_result> out;
+    for (std::size_t l = 0; l < records.size(); ++l) {
+        const auto record = records[l];
+        out.push_back(lanes.extractors[l].acquire(
+            [record](std::size_t n) { return record[n]; }, settings));
+    }
+    return out;
+}
+
 TEST(LaneKernels, GoertzelLanesBitIdenticalToScalarGoertzel) {
     const std::size_t lanes = 7;
     const std::size_t count = 960;
@@ -94,7 +108,7 @@ TEST(LaneKernels, TablesArenaVariantBitIdenticalToLegacyAcquireBatch) {
     }
 
     lane_set legacy(lanes), fast(lanes);
-    const auto expected = signature_extractor::acquire_batch(legacy.pointers, spans, settings);
+    const auto expected = scalar_acquire(legacy, spans, settings);
 
     const auto tables = demod_tables::build(settings);
     arena scratch;
@@ -134,8 +148,7 @@ TEST(LaneKernels, LaneMajorAndSharedVariantsBitIdenticalToLegacy) {
     }
     {
         lane_set legacy(lanes), fast(lanes);
-        const auto expected =
-            signature_extractor::acquire_batch(legacy.pointers, spans, settings);
+        const auto expected = scalar_acquire(legacy, spans, settings);
         const auto got = signature_extractor::acquire_batch_lane_major(
             fast.pointers, lane_major.data(), settings, tables);
         for (std::size_t l = 0; l < lanes; ++l) {
@@ -149,8 +162,7 @@ TEST(LaneKernels, LaneMajorAndSharedVariantsBitIdenticalToLegacy) {
         const auto shared = lane_record(0, periods);
         std::vector<std::span<const double>> all_same(lanes, std::span<const double>(shared));
         lane_set legacy(lanes), fast(lanes);
-        const auto expected =
-            signature_extractor::acquire_batch(legacy.pointers, all_same, settings);
+        const auto expected = scalar_acquire(legacy, all_same, settings);
         const auto got = signature_extractor::acquire_batch_shared(fast.pointers, shared,
                                                                    settings, tables);
         for (std::size_t l = 0; l < lanes; ++l) {

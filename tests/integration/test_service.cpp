@@ -9,14 +9,12 @@
 // (typed shed, the surviving sessions' bytes still identical).
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <iterator>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -30,7 +28,6 @@
 namespace {
 
 using namespace bistna;
-using namespace std::chrono_literals;
 using svc::client;
 using svc::server_options;
 using svc::service_server;
@@ -87,13 +84,9 @@ std::string offline_store_bytes(const temp_dir& dir, const shard::lot_manifest& 
     return read_bytes(path);
 }
 
-/// One service session: submit, stream, append every record to a fresh
-/// store file, return its raw bytes.
-std::string service_store_bytes(const std::string& endpoint, const temp_dir& dir,
-                                const shard::lot_manifest& manifest,
-                                const std::string& name) {
-    client c(endpoint);
-    const auto records = c.run(manifest);
+/// Append `records` to a fresh store file and return its raw bytes.
+std::string store_bytes(const temp_dir& dir, const std::vector<store::record>& records,
+                        const std::string& name) {
     const std::string path = dir.file(name);
     auto out = store::lot_store::open_append(path);
     for (const auto& r : records) {
@@ -101,6 +94,15 @@ std::string service_store_bytes(const std::string& endpoint, const temp_dir& dir
     }
     out.flush();
     return read_bytes(path);
+}
+
+/// One service session: submit, stream, append every record to a fresh
+/// store file, return its raw bytes.
+std::string service_store_bytes(const std::string& endpoint, const temp_dir& dir,
+                                const shard::lot_manifest& manifest,
+                                const std::string& name) {
+    client c(endpoint);
+    return store_bytes(dir, c.run(manifest), name);
 }
 
 TEST(ServiceEndToEnd, ConcurrentMixedSessionsMatchTheOfflineStoreByteForByte) {
@@ -152,27 +154,34 @@ TEST(ServiceEndToEnd, DisconnectAndOverloadLeaveSurvivorsBitIdentical) {
     options.worker_threads = 2;
     options.max_active_jobs = 1;    // one job runs at a time
     options.admission_capacity = 2; // two may wait
+    // Tiny socket and send-queue budgets with stall shedding off: a session
+    // that stops reading backpressures its job, which then holds the active
+    // slot for as long as the session lives -- at any machine speed.
+    options.socket_send_buffer = 4096;
+    options.send_queue_limit = 4096;
+    options.stall_timeout_ms = 0;
     service_server server(std::move(options));
     server.start();
 
-    // A job far too large to finish within the test hogs the active
-    // slot (its client vanishes below, so this stays fast)...
+    // A job whose records far exceed those budgets hogs the active slot:
+    // its client reads the admission frame and then nothing more (and
+    // vanishes below, so this stays fast)...
     auto hog = std::make_unique<client>(socket);
     hog->submit(1, fast_screening(5000, 7000));
     ASSERT_TRUE(hog->next_event().has_value()); // admitted
 
-    // ...a well-behaved session queues behind it...
-    std::future<std::string> survivor = std::async(std::launch::async, [&] {
-        return service_store_bytes(socket, dir, fast_screening(6, 123),
-                                   "survivor.store");
-    });
-    std::this_thread::sleep_for(200ms);
+    // ...a well-behaved session queues behind it, then a third.  Every
+    // submit below is written only after the previous session's, and the
+    // server reads sessions in connection order, so the admission queue
+    // fills in exactly this order: the next submit is shed with the typed
+    // overloaded error.
+    client survivor(socket);
+    survivor.submit(1, fast_screening(6, 123));
+    std::future<std::vector<store::record>> survivor_records =
+        std::async(std::launch::async, [&] { return survivor.collect(1); });
 
-    // ...a third queues too, then the admission queue is full: the next
-    // submit is shed with the typed overloaded error.
     client queued(socket);
     queued.submit(1, fast_dictionary());
-    std::this_thread::sleep_for(200ms);
 
     client shed(socket);
     shed.submit(1, fast_screening(2, 1));
@@ -187,23 +196,14 @@ TEST(ServiceEndToEnd, DisconnectAndOverloadLeaveSurvivorsBitIdentical) {
     hog.reset();
 
     // Both queued jobs now run to completion, bit-identical to offline.
-    const std::string survivor_bytes = survivor.get();
-    EXPECT_EQ(survivor_bytes,
+    EXPECT_EQ(store_bytes(dir, survivor_records.get(), "survivor.store"),
               offline_store_bytes(dir, fast_screening(6, 123), "survivor_off.store"));
 
     const auto dict_records = queued.collect(1);
     const auto dict = fast_dictionary();
     EXPECT_EQ(dict_records.size(), dict.total_units());
-    {
-        const std::string path = dir.file("dict.store");
-        auto out = store::lot_store::open_append(path);
-        for (const auto& r : dict_records) {
-            out.append(r);
-        }
-        out.flush();
-        EXPECT_EQ(read_bytes(path),
-                  offline_store_bytes(dir, dict, "dict_off.store"));
-    }
+    EXPECT_EQ(store_bytes(dir, dict_records, "dict.store"),
+              offline_store_bytes(dir, dict, "dict_off.store"));
 
     server.stop();
     const auto counters = server.counters();

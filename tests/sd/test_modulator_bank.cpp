@@ -8,6 +8,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/arena.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "sd/modulator.hpp"
@@ -229,8 +230,9 @@ TEST(ModulatorBank, ClipCountersArePerLane) {
     EXPECT_EQ(bank.clip_events(1), 0u);
 }
 
-TEST(ModulatorBank, AccumulateMatchesPerSampleStepping) {
-    const auto configs = lane_configs();
+// Run with a noisy lane (the per-lane RNG loop) and without one (the
+// noiseless blocked-transpose kernel on arena scratch).
+void expect_accumulate_matches_stepping(const std::vector<modulator_params>& configs) {
     modulator_bank stepped;
     modulator_bank fused;
     for (std::size_t l = 0; l < configs.size(); ++l) {
@@ -271,12 +273,20 @@ TEST(ModulatorBank, AccumulateMatchesPerSampleStepping) {
         lane_records.push_back(record.data());
     }
     std::vector<double> acc(configs.size(), 0.0);
-    fused.accumulate(lane_records.data(), qs.data(), signs.data(), total, acc.data());
+    bistna::arena scratch;
+    fused.accumulate(lane_records.data(), qs.data(), signs.data(), total, acc.data(), scratch);
     for (std::size_t l = 0; l < configs.size(); ++l) {
         EXPECT_EQ(expected[l], acc[l]) << "lane " << l;
         EXPECT_EQ(stepped.state(l), fused.state(l)) << "lane " << l;
         EXPECT_EQ(stepped.clip_events(l), fused.clip_events(l)) << "lane " << l;
     }
+}
+
+TEST(ModulatorBank, AccumulateMatchesPerSampleStepping) {
+    auto configs = lane_configs();
+    expect_accumulate_matches_stepping(configs);
+    configs.erase(configs.begin() + 1); // the noisy lane
+    expect_accumulate_matches_stepping(configs);
 }
 
 TEST(ModulatorBank, GroundedAccumulateMatchesScalarCalibrationLoop) {

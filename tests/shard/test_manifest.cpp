@@ -64,7 +64,6 @@ TEST(ShardManifest, NonDefaultFieldsRoundTrip) {
     manifest.eval_seed_base = 0xABCDEF;
     manifest.threads = 2;
     manifest.batch_lanes = 16;
-    manifest.pipeline = core::sweep_pipeline::reference;
 
     const shard::lot_manifest parsed =
         shard::lot_manifest::from_json(manifest.to_json());
@@ -75,7 +74,7 @@ TEST(ShardManifest, NonDefaultFieldsRoundTrip) {
     EXPECT_EQ(parsed.custom_limits[0].gain_db_min, -2.25);
     ASSERT_TRUE(parsed.stimulus_tolerance.has_value());
     EXPECT_EQ(*parsed.stimulus_tolerance, 0.07);
-    EXPECT_EQ(parsed.pipeline, core::sweep_pipeline::reference);
+    EXPECT_EQ(parsed.batch_lanes, 16u);
 }
 
 TEST(ShardManifest, SaveLoadRoundTrip) {
@@ -113,6 +112,20 @@ TEST(ShardManifest, RejectsUnknownAndDuplicateKeys) {
                  configuration_error);
     EXPECT_THROW((void)shard::lot_manifest::from_json("{\"workload\": \"sharding\"}"),
                  configuration_error);
+}
+
+// "engine.pipeline" selected between two lane-group implementations; with
+// one stage runner left it is an unknown key like any other.
+TEST(ShardManifest, RejectsRemovedPipelineKey) {
+    const auto parsed =
+        shard::lot_manifest::from_json("{\"engine\": {\"threads\": 1, \"lanes\": 4}}");
+    EXPECT_EQ(parsed.batch_lanes, 4u);
+    for (const char* value : {"lane_major", "reference"}) {
+        const std::string json = std::string("{\"engine\": {\"lanes\": 4, \"pipeline\": \"") +
+                                 value + "\"}}";
+        EXPECT_THROW((void)shard::lot_manifest::from_json(json), configuration_error)
+            << value;
+    }
 }
 
 TEST(ShardManifest, UnitAndRecordIdAccounting) {
