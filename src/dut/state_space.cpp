@@ -193,7 +193,7 @@ inline void bank_rows(std::size_t n_lanes, std::size_t count, const double* u_in
 }
 
 // target_clones needs plain functions, so the template is stamped once per
-// (order, input shape); the AVX2 clone inlines the body at its ISA.
+// (order, input shape); each ISA clone inlines the body at its ISA.
 #define BISTNA_SS_BANK_KERNEL(name, order, shared)                                \
     BISTNA_KERNEL_CLONES void name(std::size_t n_lanes, std::size_t count,        \
                                    const double* u, const double* ad,             \

@@ -67,7 +67,8 @@ private:
 /// and final state is bit-identical to the scalar pass at any lane count --
 /// the bank only swaps the loop order (sample-outer, lane-inner over
 /// contiguous coefficient/state lanes) so the compiler can vectorize across
-/// lanes, with a runtime AVX2 clone where the toolchain supports it.
+/// lanes, with runtime AVX2 / AVX-512F clones where the toolchain supports
+/// them.
 ///
 /// Coefficient/state SoA storage is bump-allocated from the caller's arena,
 /// which must outlive the bank and must not be reset while it is in use.

@@ -72,9 +72,9 @@ inline double advance_lane(const lane_view& v, bistna::rng* rngs, std::size_t l,
 // across lanes.
 // ---------------------------------------------------------------------------
 
-// Runtime-dispatched AVX2 clones where the toolchain supports them (see
-// common/kernel.hpp for why sanitizer builds fall back to the plain
-// kernel and why the clones stay bit-identical).
+// Runtime-dispatched AVX2 / AVX-512F clones where the toolchain supports
+// them (see common/kernel.hpp for why sanitizer builds fall back to the
+// plain kernel and why the clones stay bit-identical).
 #define BISTNA_BANK_KERNEL BISTNA_KERNEL_CLONES
 
 /// A block of lockstep samples over all lanes: xs is lane-major (sample

@@ -108,7 +108,7 @@ TEST(StateSpaceBank, LaneMajorPassBitIdenticalToScalarLanes) {
     const double fs = 96.0 * 2500.0;
     const std::size_t samples = 2000;
     for (std::size_t order = 1; order <= 4; ++order) {
-        for (std::size_t lanes : {1u, 3u, 8u}) {
+        for (std::size_t lanes : {1u, 3u, 8u, 19u}) {
             // Scalar reference lanes and bank lanes from the same designs.
             std::vector<std::vector<double>> inputs;
             std::vector<std::vector<double>> expected(lanes);

@@ -72,22 +72,26 @@ scalar_acquire(lane_set& lanes, const std::vector<std::span<const double>>& reco
 }
 
 TEST(LaneKernels, GoertzelLanesBitIdenticalToScalarGoertzel) {
-    const std::size_t lanes = 7;
-    const std::size_t count = 960;
-    std::vector<std::vector<double>> records;
-    std::vector<double> lane_major(count * lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-        records.push_back(lane_record(l, count / kN));
-        for (std::size_t n = 0; n < count; ++n) {
-            lane_major[n * lanes + l] = records[l][n];
+    // 7 lanes: a remainder-only pass at 8 doubles per vector; 19 lanes: two
+    // full 8-wide vectors plus a remainder.
+    for (const std::size_t lanes : {7u, 19u}) {
+        const std::size_t count = 960;
+        std::vector<std::vector<double>> records;
+        std::vector<double> lane_major(count * lanes);
+        for (std::size_t l = 0; l < lanes; ++l) {
+            records.push_back(lane_record(l, count / kN));
+            for (std::size_t n = 0; n < count; ++n) {
+                lane_major[n * lanes + l] = records[l][n];
+            }
         }
-    }
-    std::vector<std::complex<double>> results(lanes);
-    dsp::goertzel_lanes(lane_major.data(), count, lanes, 1000.0, 96000.0, results.data());
-    for (std::size_t l = 0; l < lanes; ++l) {
-        const auto scalar = dsp::goertzel(records[l], 1000.0, 96000.0);
-        EXPECT_EQ(results[l].real(), scalar.real()) << "lane " << l;
-        EXPECT_EQ(results[l].imag(), scalar.imag()) << "lane " << l;
+        std::vector<std::complex<double>> results(lanes);
+        dsp::goertzel_lanes(lane_major.data(), count, lanes, 1000.0, 96000.0,
+                            results.data());
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const auto scalar = dsp::goertzel(records[l], 1000.0, 96000.0);
+            EXPECT_EQ(results[l].real(), scalar.real()) << "lanes " << lanes << " lane " << l;
+            EXPECT_EQ(results[l].imag(), scalar.imag()) << "lanes " << lanes << " lane " << l;
+        }
     }
 }
 

@@ -311,6 +311,117 @@ TEST(ModulatorBank, GroundedAccumulateMatchesScalarCalibrationLoop) {
     }
 }
 
+/// lane_configs() without the noisy lane, plus a noiseless settling lane
+/// (settle gain != 1, as in cmos035), so the noiseless kernels see every
+/// term of leak * s + increment * settle_gain take a non-trivial value.
+std::vector<modulator_params> noiseless_configs() {
+    std::vector<modulator_params> configs;
+    for (const auto& config : lane_configs()) {
+        if (config.noise_rms == 0.0) {
+            configs.push_back(config);
+        }
+    }
+    modulator_params settling = modulator_params::ideal();
+    settling.settling_error = 2e-5;
+    settling.dc_gain_db = 60.0;
+    configs.push_back(settling);
+    return configs;
+}
+
+// 19 noiseless lanes = two full 8-wide vectors plus a remainder, so the
+// widest clone's body and its tail both run (the smaller noiseless banks
+// above never reach an 8-wide body, so they cannot see FP contraction
+// there).  Every noiseless entry point against per-lane sd_modulator:
+// counters, state and clip counts bit for bit, with each call continuing
+// from the state the previous one left.
+TEST(ModulatorBank, NoiselessKernelsBitIdenticalToScalarAcrossVectorTails) {
+    constexpr std::size_t n_lanes = 19;
+    const auto configs = noiseless_configs();
+    modulator_bank bank;
+    std::vector<sd_modulator> scalars;
+    for (std::size_t l = 0; l < n_lanes; ++l) {
+        bank.add_lane(configs[l % configs.size()]);
+        scalars.emplace_back(configs[l % configs.size()]);
+    }
+
+    const std::size_t total = 4800;
+    bistna::rng stimulus(23);
+    std::vector<std::vector<double>> records(n_lanes, std::vector<double>(total));
+    std::vector<double> lane_major(total * n_lanes);
+    for (std::size_t l = 0; l < n_lanes; ++l) {
+        for (std::size_t n = 0; n < total; ++n) {
+            records[l][n] = stimulus.uniform(-0.7, 0.7);
+            lane_major[n * n_lanes + l] = records[l][n];
+        }
+    }
+    std::vector<unsigned char> qs(total);
+    std::vector<double> qsigns(total);
+    std::vector<double> signs(total);
+    for (std::size_t n = 0; n < total; ++n) {
+        qs[n] = (n % 96) < 48 ? 1 : 0;
+        qsigns[n] = qs[n] != 0 ? 1.0 : -1.0;
+        signs[n] = n >= total / 2 ? -1.0 : 1.0;
+    }
+    std::vector<const double*> lane_records;
+    for (const auto& record : records) {
+        lane_records.push_back(record.data());
+    }
+
+    // Scalar counters for one call; `input(l, n)` is lane l's sample n.
+    auto scalar_counters = [&](auto input, bool grounded) {
+        std::vector<double> expected(n_lanes, 0.0);
+        for (std::size_t l = 0; l < n_lanes; ++l) {
+            for (std::size_t n = 0; n < total; ++n) {
+                const bool q = grounded || qs[n] != 0;
+                const double sign = grounded ? 1.0 : signs[n];
+                expected[l] += sign * scalars[l].step(input(l, n), q);
+            }
+        }
+        return expected;
+    };
+    auto expect_lanes_match = [&](const std::vector<double>& expected,
+                                  const std::vector<double>& acc) {
+        for (std::size_t l = 0; l < n_lanes; ++l) {
+            EXPECT_EQ(expected[l], acc[l]) << "lane " << l;
+            EXPECT_EQ(scalars[l].state(), bank.state(l)) << "lane " << l;
+            EXPECT_EQ(scalars[l].clip_events(), bank.clip_events(l)) << "lane " << l;
+        }
+    };
+    const auto per_lane = [&](std::size_t l, std::size_t n) { return records[l][n]; };
+
+    {
+        SCOPED_TRACE("accumulate");
+        std::vector<double> acc(n_lanes, 0.0);
+        bistna::arena scratch;
+        bank.accumulate(lane_records.data(), qs.data(), signs.data(), total, acc.data(),
+                        scratch);
+        expect_lanes_match(scalar_counters(per_lane, false), acc);
+    }
+    {
+        SCOPED_TRACE("accumulate_lane_major");
+        std::vector<double> acc(n_lanes, 0.0);
+        bank.accumulate_lane_major(lane_major.data(), qsigns.data(), signs.data(), total,
+                                   acc.data());
+        expect_lanes_match(scalar_counters(per_lane, false), acc);
+    }
+    {
+        SCOPED_TRACE("accumulate_shared");
+        std::vector<double> acc(n_lanes, 0.0);
+        bank.accumulate_shared(records[0].data(), qsigns.data(), signs.data(), total,
+                               acc.data());
+        expect_lanes_match(
+            scalar_counters([&](std::size_t, std::size_t n) { return records[0][n]; }, false),
+            acc);
+    }
+    {
+        SCOPED_TRACE("accumulate_grounded");
+        std::vector<double> acc(n_lanes, 0.0);
+        bank.accumulate_grounded(total, acc.data());
+        expect_lanes_match(
+            scalar_counters([](std::size_t, std::size_t) { return 0.0; }, true), acc);
+    }
+}
+
 TEST(ModulatorBank, RejectsNonPositiveConfig) {
     modulator_bank bank;
     modulator_params params = modulator_params::ideal();

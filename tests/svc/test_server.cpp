@@ -156,23 +156,30 @@ TEST(SvcServer, AdmissionOverloadShedsWithTypedError) {
     options.worker_threads = 1;
     options.max_active_jobs = 1;
     options.admission_capacity = 1;
+    // Tiny socket and send-queue budgets with stall shedding off: a session
+    // that stops reading backpressures its job, which then holds the active
+    // slot for as long as the session lives -- at any machine speed.
+    options.socket_send_buffer = 4096;
+    options.send_queue_limit = 4096;
+    options.stall_timeout_ms = 0;
     service_server server(std::move(options));
     server.start();
 
-    // A occupies the single active slot with a job far too large to
-    // finish within the test (it is cancelled below, so this stays fast).
+    // A occupies the single active slot: its records far exceed those
+    // budgets, and it reads the admission frame and then nothing more
+    // until it cancels below.
     client a(path);
     a.submit(1, fast_manifest(5000));
-    auto first = a.next_event(); // progress 0/150: the job was admitted
+    auto first = a.next_event(); // progress 0/5000: the job was admitted
     ASSERT_TRUE(first.has_value());
     ASSERT_EQ(first->type, client::event::kind::progress);
 
-    // B fills the one admission slot.  A queued submit gets no ack (its
-    // first frame is the progress on dispatch), so give the event loop a
-    // beat to process it before C races in.
+    // B fills the one admission slot, then C submits.  A queued submit gets
+    // no ack (its first frame is the progress on dispatch), but B's submit
+    // is written before C even connects and the server reads sessions in
+    // connection order, so B is always queued first.
     client b(path);
     b.submit(1, fast_manifest(2, 900));
-    std::this_thread::sleep_for(200ms);
 
     // C must be shed immediately with a typed overloaded error -- never
     // queued invisibly, never hung.
