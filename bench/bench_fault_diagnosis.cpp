@@ -14,7 +14,6 @@
 // Writes the measurement to BENCH_fault_diagnosis.json (or argv[1]) so the
 // perf trajectory is recorded run over run.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -66,26 +65,6 @@ build_timing best_of(std::size_t batch_lanes, int repeats) {
     return best;
 }
 
-void write_json(const std::string& path, std::size_t items, double scalar_seconds,
-                double batched_seconds, double speedup, bool identical) {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "WARNING: could not write " << path << "\n";
-        return;
-    }
-    out << "{\n"
-        << "  \"bench\": \"fault_diagnosis\",\n"
-        << "  \"grid_items\": " << items << ",\n"
-        << "  \"threads\": " << kThreads << ",\n"
-        << "  \"batch_lanes\": " << kLanes << ",\n"
-        << "  \"scalar_seconds\": " << scalar_seconds << ",\n"
-        << "  \"batched_seconds\": " << batched_seconds << ",\n"
-        << "  \"speedup\": " << speedup << ",\n"
-        << "  \"bit_identical\": " << (identical ? "true" : "false") << "\n"
-        << "}\n";
-    std::cout << "perf record written to " << path << "\n";
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -113,8 +92,12 @@ int main(int argc, char** argv) {
               << "  speedup: " << speedup << "x\n"
               << "  dictionaries bit-identical: " << (identical ? "YES" : "NO") << "\n";
 
-    write_json(argc > 1 ? argv[1] : "BENCH_fault_diagnosis.json", items, scalar.seconds,
-               batched.seconds, speedup, identical);
+    bench::write_perf_record(argc > 1 ? argv[1] : "BENCH_fault_diagnosis.json",
+                             "fault_diagnosis",
+                             {{"grid_items", items}, {"threads", kThreads},
+                              {"batch_lanes", kLanes}, {"scalar_seconds", scalar.seconds},
+                              {"batched_seconds", batched.seconds}, {"speedup", speedup},
+                              {"bit_identical", identical}});
 
     bench::footnote("Every grid point owns its derived evaluator seed, so grouping "
                     "severities into bank lanes changes the wall clock and nothing "

@@ -63,9 +63,10 @@ int main() {
                            format_fixed(paper_dbfs[k - 1], 0)});
         }
         const auto final_stats = summarize(readings.back());
-        bench::verdict("A" + std::to_string(k) + " at MN = 96000 (dBFS)",
-                       amplitude_to_dbfs(truths[k - 1], eval::full_scale_reference),
-                       final_stats.mean, 0.3);
+        bench::verdict(
+            std::string("A").append(std::to_string(k)).append(" at MN = 96000 (dBFS)"),
+            amplitude_to_dbfs(truths[k - 1], eval::full_scale_reference), final_stats.mean,
+            0.3);
     }
     std::cout << "\n";
     table.print(std::cout);

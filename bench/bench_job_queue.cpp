@@ -15,7 +15,6 @@
 // Writes the measurement to BENCH_job_queue.json (or argv[1]) so the perf
 // trajectory is recorded run over run.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -83,26 +82,6 @@ bool reports_identical(const std::vector<core::screening_report>& a,
     return true;
 }
 
-void write_json(const std::string& path, double sequential_seconds,
-                double concurrent_seconds, double ratio, bool identical) {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "WARNING: could not write " << path << "\n";
-        return;
-    }
-    out << "{\n"
-        << "  \"bench\": \"job_queue\",\n"
-        << "  \"dice_per_job\": " << kDice << ",\n"
-        << "  \"threads\": " << kThreads << ",\n"
-        << "  \"batch_lanes\": " << kLanes << ",\n"
-        << "  \"sequential_pair_seconds\": " << sequential_seconds << ",\n"
-        << "  \"concurrent_pair_seconds\": " << concurrent_seconds << ",\n"
-        << "  \"concurrent_over_sequential\": " << ratio << ",\n"
-        << "  \"bit_identical\": " << (identical ? "true" : "false") << "\n"
-        << "}\n";
-    std::cout << "perf record written to " << path << "\n";
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -163,8 +142,13 @@ int main(int argc, char** argv) {
               << "  all reports bit-identical to synchronous reference: "
               << (identical ? "YES" : "NO") << "\n";
 
-    write_json(argc > 1 ? argv[1] : "BENCH_job_queue.json", best_sequential,
-               best_concurrent, ratio, identical);
+    bench::write_perf_record(argc > 1 ? argv[1] : "BENCH_job_queue.json", "job_queue",
+                             {{"dice_per_job", kDice}, {"threads", kThreads},
+                              {"batch_lanes", kLanes},
+                              {"sequential_pair_seconds", best_sequential},
+                              {"concurrent_pair_seconds", best_concurrent},
+                              {"concurrent_over_sequential", ratio},
+                              {"bit_identical", identical}});
 
     bench::footnote("Jobs drain in submission order off one pool; per-die seeds are "
                     "index-derived, so interleaving two lots changes scheduling and "

@@ -15,7 +15,6 @@
 // per-PR perf trajectory has a lot-level series.
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -118,32 +117,6 @@ bool reports_identical(const std::vector<core::screening_report>& a,
     return true;
 }
 
-void write_json(const std::string& path, const lot_timing& baseline,
-                const lot_timing& roofline, double speedup, bool identical) {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "WARNING: could not write " << path << "\n";
-        return;
-    }
-    out << "{\n"
-        << "  \"bench\": \"lot_roofline\",\n"
-        << "  \"dice\": " << kDice << ",\n"
-        << "  \"baseline_threads\": " << baseline.threads << ",\n"
-        << "  \"baseline_batch_lanes\": " << baseline.batch_lanes << ",\n"
-        << "  \"baseline_seconds\": " << baseline.seconds << ",\n"
-        << "  \"baseline_dice_per_second\": "
-        << static_cast<double>(kDice) / baseline.seconds << ",\n"
-        << "  \"autotuned_threads\": " << roofline.threads << ",\n"
-        << "  \"autotuned_batch_lanes\": " << roofline.batch_lanes << ",\n"
-        << "  \"roofline_seconds\": " << roofline.seconds << ",\n"
-        << "  \"roofline_dice_per_second\": "
-        << static_cast<double>(kDice) / roofline.seconds << ",\n"
-        << "  \"speedup\": " << speedup << ",\n"
-        << "  \"bit_identical\": " << (identical ? "true" : "false") << "\n"
-        << "}\n";
-    std::cout << "perf record written to " << path << "\n";
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -181,8 +154,17 @@ int main(int argc, char** argv) {
               << "  lot yield: " << passed << "/" << kDice << "\n"
               << "  reports bit-identical: " << (identical ? "YES" : "NO") << "\n";
 
-    write_json(argc > 1 ? argv[1] : "BENCH_lot_roofline.json", baseline, roofline,
-               speedup, identical);
+    bench::write_perf_record(argc > 1 ? argv[1] : "BENCH_lot_roofline.json",
+                             "lot_roofline",
+                             {{"dice", kDice}, {"baseline_threads", baseline.threads},
+                              {"baseline_batch_lanes", baseline.batch_lanes},
+                              {"baseline_seconds", baseline.seconds},
+                              {"baseline_dice_per_second", kDice / baseline.seconds},
+                              {"autotuned_threads", roofline.threads},
+                              {"autotuned_batch_lanes", roofline.batch_lanes},
+                              {"roofline_seconds", roofline.seconds},
+                              {"roofline_dice_per_second", kDice / roofline.seconds},
+                              {"speedup", speedup}, {"bit_identical", identical}});
 
     bench::footnote("Both sides compute the same IEEE-754 results die for die; the "
                     "lane groups only reorganise the arithmetic (banked "

@@ -14,7 +14,6 @@
 // perf trajectory is recorded run over run.
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -91,30 +90,6 @@ bool reports_identical(const std::vector<core::screening_report>& a,
     return true;
 }
 
-void write_json(const std::string& path, double scalar_seconds, double batched_seconds,
-                double speedup, bool identical) {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "WARNING: could not write " << path << "\n";
-        return;
-    }
-    out << "{\n"
-        << "  \"bench\": \"modulator_bank\",\n"
-        << "  \"dice\": " << kDice << ",\n"
-        << "  \"threads\": " << kThreads << ",\n"
-        << "  \"batch_lanes\": " << kLanes << ",\n"
-        << "  \"scalar_seconds\": " << scalar_seconds << ",\n"
-        << "  \"batched_seconds\": " << batched_seconds << ",\n"
-        << "  \"speedup\": " << speedup << ",\n"
-        << "  \"dice_per_second_scalar\": " << static_cast<double>(kDice) / scalar_seconds
-        << ",\n"
-        << "  \"dice_per_second_batched\": " << static_cast<double>(kDice) / batched_seconds
-        << ",\n"
-        << "  \"bit_identical\": " << (identical ? "true" : "false") << "\n"
-        << "}\n";
-    std::cout << "perf record written to " << path << "\n";
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -148,8 +123,14 @@ int main(int argc, char** argv) {
               << "  lot yield: " << passed << "/" << kDice << "\n"
               << "  reports bit-identical: " << (identical ? "YES" : "NO") << "\n";
 
-    write_json(argc > 1 ? argv[1] : "BENCH_modulator_bank.json", scalar.seconds,
-               batched.seconds, speedup, identical);
+    bench::write_perf_record(argc > 1 ? argv[1] : "BENCH_modulator_bank.json",
+                             "modulator_bank",
+                             {{"dice", kDice}, {"threads", kThreads},
+                              {"batch_lanes", kLanes}, {"scalar_seconds", scalar.seconds},
+                              {"batched_seconds", batched.seconds}, {"speedup", speedup},
+                              {"dice_per_second_scalar", kDice / scalar.seconds},
+                              {"dice_per_second_batched", kDice / batched.seconds},
+                              {"bit_identical", identical}});
 
     bench::footnote("Lanes never interact: each die keeps its own seeded RNG streams, "
                     "so grouping dice into bank lanes changes the wall clock and "

@@ -181,28 +181,6 @@ bool lots_bit_identical(const std::vector<core::screening_report>& a,
     return true;
 }
 
-void write_json(const std::string& path, double csv_rate, double binary_rate,
-                double speedup, bool bit_exact, std::uint64_t csv_bytes,
-                std::uint64_t binary_bytes) {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "WARNING: could not write " << path << "\n";
-        return;
-    }
-    out << "{\n"
-        << "  \"bench\": \"record_store\",\n"
-        << "  \"reports\": " << kReports << ",\n"
-        << "  \"limits_per_report\": " << kLimits << ",\n"
-        << "  \"csv_reports_per_sec\": " << csv_rate << ",\n"
-        << "  \"binary_reports_per_sec\": " << binary_rate << ",\n"
-        << "  \"speedup\": " << speedup << ",\n"
-        << "  \"bit_exact\": " << (bit_exact ? "true" : "false") << ",\n"
-        << "  \"csv_bytes\": " << csv_bytes << ",\n"
-        << "  \"binary_bytes\": " << binary_bytes << "\n"
-        << "}\n";
-    std::cout << "perf record written to " << path << "\n";
-}
-
 std::uint64_t file_bytes(const std::string& path) {
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     return in ? static_cast<std::uint64_t>(in.tellg()) : 0;
@@ -254,8 +232,13 @@ int main(int argc, char** argv) {
               << "  binary round trip bit-exact: " << (bit_exact ? "YES" : "NO")
               << "\n";
 
-    write_json(argc > 1 ? argv[1] : "BENCH_record_store.json", csv_rate, binary_rate,
-               speedup, bit_exact, csv_bytes, binary_bytes);
+    bench::write_perf_record(argc > 1 ? argv[1] : "BENCH_record_store.json",
+                             "record_store",
+                             {{"reports", kReports}, {"limits_per_report", kLimits},
+                              {"csv_reports_per_sec", csv_rate},
+                              {"binary_reports_per_sec", binary_rate},
+                              {"speedup", speedup}, {"bit_exact", bit_exact},
+                              {"csv_bytes", csv_bytes}, {"binary_bytes", binary_bytes}});
 
     bench::footnote("The binary path is memcpy plus a sliced CRC32 per frame; the "
                     "CSV path pays shortest-round-trip double formatting and "

@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <future>
 #include <iostream>
 #include <string>
@@ -59,29 +58,6 @@ std::vector<store::record> offline_records(const shard::lot_manifest& manifest) 
         records.push_back(std::move(item->record));
     }
     return records;
-}
-
-void write_json(const std::string& path, double offline_seconds,
-                double service_seconds, double ratio, bool identical) {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "WARNING: could not write " << path << "\n";
-        return;
-    }
-    const double total_dice = static_cast<double>(kSessions * kDicePerLot);
-    out << "{\n"
-        << "  \"bench\": \"service\",\n"
-        << "  \"sessions\": " << kSessions << ",\n"
-        << "  \"dice_per_lot\": " << kDicePerLot << ",\n"
-        << "  \"pool_threads\": " << kPoolThreads << ",\n"
-        << "  \"offline_seconds\": " << offline_seconds << ",\n"
-        << "  \"offline_dice_per_second\": " << total_dice / offline_seconds << ",\n"
-        << "  \"service_seconds\": " << service_seconds << ",\n"
-        << "  \"service_dice_per_second\": " << total_dice / service_seconds << ",\n"
-        << "  \"service_over_offline\": " << ratio << ",\n"
-        << "  \"byte_identical\": " << (identical ? "true" : "false") << "\n"
-        << "}\n";
-    std::cout << "perf record written to " << path << "\n";
 }
 
 } // namespace
@@ -159,8 +135,16 @@ int main(int argc, char** argv) {
               << "  records byte-identical: " << (identical ? "YES" : "NO")
               << "\n";
 
-    write_json(argc > 1 ? argv[1] : "BENCH_service.json", offline_seconds,
-               service_seconds, ratio, identical);
+    const double total_dice = static_cast<double>(kSessions * kDicePerLot);
+    bench::write_perf_record(argc > 1 ? argv[1] : "BENCH_service.json", "service",
+                             {{"sessions", kSessions}, {"dice_per_lot", kDicePerLot},
+                              {"pool_threads", kPoolThreads},
+                              {"offline_seconds", offline_seconds},
+                              {"offline_dice_per_second", total_dice / offline_seconds},
+                              {"service_seconds", service_seconds},
+                              {"service_dice_per_second", total_dice / service_seconds},
+                              {"service_over_offline", ratio},
+                              {"byte_identical", identical}});
 
     bench::footnote("Both sides run the identical shard::unit_stream "
                     "pipeline; the daemon adds only framing, CRCs and a "

@@ -76,31 +76,6 @@ std::string read_bytes(const std::string& path) {
                        std::istreambuf_iterator<char>());
 }
 
-void write_json(const std::string& path, const fleet_timing& single,
-                const fleet_timing& sharded, double speedup, bool identical) {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "WARNING: could not write " << path << "\n";
-        return;
-    }
-    out << "{\n"
-        << "  \"bench\": \"shard_runner\",\n"
-        << "  \"dice\": " << kDice << ",\n"
-        << "  \"workers_single\": 1,\n"
-        << "  \"workers_sharded\": 4,\n"
-        << "  \"single_seconds\": " << single.seconds << ",\n"
-        << "  \"single_dice_per_second\": "
-        << static_cast<double>(kDice) / single.seconds << ",\n"
-        << "  \"sharded_seconds\": " << sharded.seconds << ",\n"
-        << "  \"sharded_dice_per_second\": "
-        << static_cast<double>(kDice) / sharded.seconds << ",\n"
-        << "  \"speedup\": " << speedup << ",\n"
-        << "  \"retries\": " << sharded.retries << ",\n"
-        << "  \"byte_identical\": " << (identical ? "true" : "false") << "\n"
-        << "}\n";
-    std::cout << "perf record written to " << path << "\n";
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -140,8 +115,15 @@ int main(int argc, char** argv) {
               << "  merged store byte-identical: " << (identical ? "YES" : "NO")
               << "\n";
 
-    write_json(argc > 1 ? argv[1] : "BENCH_shard_runner.json", single, sharded,
-               speedup, identical);
+    bench::write_perf_record(argc > 1 ? argv[1] : "BENCH_shard_runner.json",
+                             "shard_runner",
+                             {{"dice", kDice}, {"workers_single", 1},
+                              {"workers_sharded", 4}, {"single_seconds", single.seconds},
+                              {"single_dice_per_second", kDice / single.seconds},
+                              {"sharded_seconds", sharded.seconds},
+                              {"sharded_dice_per_second", kDice / sharded.seconds},
+                              {"speedup", speedup}, {"retries", sharded.retries},
+                              {"byte_identical", identical}});
     std::filesystem::remove_all(dir);
 
     bench::footnote("Workers are full OS processes sharing nothing but the "

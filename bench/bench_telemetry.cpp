@@ -14,7 +14,6 @@
 //
 // Writes the measurement to BENCH_telemetry.json (or argv[1]).
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -84,30 +83,6 @@ double run_lot(std::vector<core::screening_report>& reports) {
     const auto start = std::chrono::steady_clock::now();
     reports = engine.submit_screening(mask, kDice, /*first_seed=*/1).results();
     return seconds_since(start);
-}
-
-void write_json(const std::string& path, double detached_seconds,
-                double attached_seconds, double ratio, bool identical,
-                std::uint64_t spans, std::uint64_t items) {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "WARNING: could not write " << path << "\n";
-        return;
-    }
-    out << "{\n"
-        << "  \"bench\": \"telemetry\",\n"
-        << "  \"dice\": " << kDice << ",\n"
-        << "  \"threads\": " << kThreads << ",\n"
-        << "  \"batch_lanes\": " << kLanes << ",\n"
-        << "  \"detached_seconds\": " << detached_seconds << ",\n"
-        << "  \"attached_seconds\": " << attached_seconds << ",\n"
-        << "  \"attached_over_detached\": " << ratio << ",\n"
-        << "  \"gate\": " << kGate << ",\n"
-        << "  \"spans_recorded\": " << spans << ",\n"
-        << "  \"items_counted\": " << items << ",\n"
-        << "  \"bit_identical\": " << (identical ? "true" : "false") << "\n"
-        << "}\n";
-    std::cout << "perf record written to " << path << "\n";
 }
 
 } // namespace
@@ -188,8 +163,15 @@ int main(int argc, char** argv) {
               << "  all reports byte-identical to synchronous reference: "
               << (identical ? "YES" : "NO") << "\n";
 
-    write_json(argc > 1 ? argv[1] : "BENCH_telemetry.json", best_detached,
-               best_attached, ratio, identical, spans_recorded, items_counted);
+    bench::write_perf_record(argc > 1 ? argv[1] : "BENCH_telemetry.json", "telemetry",
+                             {{"dice", kDice}, {"threads", kThreads},
+                              {"batch_lanes", kLanes},
+                              {"detached_seconds", best_detached},
+                              {"attached_seconds", best_attached},
+                              {"attached_over_detached", ratio}, {"gate", kGate},
+                              {"spans_recorded", spans_recorded},
+                              {"items_counted", items_counted},
+                              {"bit_identical", identical}});
 
     bench::footnote(
         "Detached, every instrumentation point is one relaxed atomic load "

@@ -5,8 +5,7 @@
 // that fail screening.  Every session -- the dictionary build and each
 // diagnosed lot -- runs on one shared worker pool.
 //
-//   ./fault_diagnosis [--dice=N] [--sigma=S] [--threads=N] [--lanes=N]
-//                     [--store=PATH] [--trace=PATH] [--metrics]
+//   ./fault_diagnosis [flags]    (--help lists them)
 //
 // When --threads/--lanes are omitted the sweep engine's autotune probe
 // picks them for this machine; pass either flag to override.
@@ -15,10 +14,6 @@
 // next to the CSV, loaded back both copying and mmapped); --store
 // additionally appends every injected-lot report to a persistent binary
 // record store as the dice stream off their jobs.
-//
-// --trace writes a Chrome trace of the dictionary build and every lot's
-// engine-stage spans; --metrics prints the accumulated counters and
-// latency histograms.
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -27,6 +22,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
 #include "core/job_queue.hpp"
 #include "core/screening.hpp"
@@ -38,8 +34,7 @@
 #include "store/dictionary_io.hpp"
 #include "store/lot_store.hpp"
 #include "store/records.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/trace_export.hpp"
+#include "telemetry/front_end.hpp"
 
 namespace {
 
@@ -66,21 +61,23 @@ diag::diagnose_progress lot_progress(const std::string& label) {
 
 } // namespace
 
-int main(int argc, char** argv) {
-    const auto dice = static_cast<std::size_t>(flag_value(argc, argv, "dice", 8.0));
-    const double sigma = flag_value(argc, argv, "sigma", 0.02);
-    auto threads = static_cast<std::size_t>(flag_value(argc, argv, "threads", 0.0));
-    auto lanes = static_cast<std::size_t>(flag_value(argc, argv, "lanes", 8.0));
-    const std::string store_path = flag_text(argc, argv, "store");
-
-    const std::string trace_path = flag_text(argc, argv, "trace");
-    const bool want_metrics = flag_switch(argc, argv, "metrics");
-    telemetry::metric_registry registry;
-    if (!trace_path.empty() || want_metrics) {
-        registry.set_process_name("fault_diagnosis");
-        registry.attach();
-        telemetry::set_thread_name("main");
+int main(int argc, char** argv) try {
+    std::size_t dice = 8;
+    double sigma = 0.02;
+    std::size_t threads = 0; // both autotuned unless given
+    std::size_t lanes = 0;
+    std::string store_path;
+    flag_table flags("fault_diagnosis");
+    flags.add("dice", dice, "dice per injected-fault cell")
+        .add("sigma", sigma, "relative component tolerance sigma")
+        .add("threads", threads, "worker threads (omit this or --lanes to autotune)")
+        .add("lanes", lanes, "modulator-bank lanes per group")
+        .add("store", store_path, "append every injected-lot report to this lot store");
+    telemetry::front_end_telemetry telemetry(flags);
+    if (const auto exit_code = flags.parse_main(argc, argv)) {
+        return *exit_code;
     }
+    telemetry.start("fault_diagnosis");
 
     const diag::die_design design; // realistic 0.35 um generator, nominal DUT
     core::analyzer_settings settings;
@@ -90,17 +87,13 @@ int main(int argc, char** argv) {
 
     // Flags omitted -> autotune the configuration on the nominal die
     // (either flag still overrides).
-    if (!flag_present(argc, argv, "threads") || !flag_present(argc, argv, "lanes")) {
+    if (!flags.given("threads") || !flags.given("lanes")) {
         core::sweep_engine_options probe;
         probe.autotune = true;
         core::sweep_engine tuner(design.factory(), settings, probe);
         const auto tuned = tuner.stats();
-        if (!flag_present(argc, argv, "threads")) {
-            threads = tuned.threads;
-        }
-        if (!flag_present(argc, argv, "lanes")) {
-            lanes = tuned.batch_lanes;
-        }
+        threads = flags.given("threads") ? threads : tuned.threads;
+        lanes = flags.given("lanes") ? lanes : tuned.batch_lanes;
         std::cout << "autotune probe picked " << tuned.threads << " threads x "
                   << tuned.batch_lanes << " lanes in "
                   << format_fixed(tuned.autotune_seconds * 1e3, 1) << " ms\n\n";
@@ -287,17 +280,9 @@ int main(int argc, char** argv) {
                   << result_store->records_appended() << " appended this run)\n";
     }
 
-    if (registry.is_attached()) {
-        registry.detach();
-        const auto snapshot = registry.snapshot();
-        if (!trace_path.empty()) {
-            telemetry::write_chrome_trace_file(trace_path, {&snapshot, 1});
-            std::cout << "trace: " << trace_path << "\n";
-        }
-        if (want_metrics) {
-            std::cout << "\n--- telemetry ---\n";
-            telemetry::print_metrics(std::cout, snapshot);
-        }
-    }
+    telemetry.finish(std::cout);
     return accuracy >= 0.9 ? 0 : 1;
+} catch (const configuration_error& error) {
+    std::cerr << "fault_diagnosis: " << error.what() << "\n";
+    return 2;
 }

@@ -7,8 +7,7 @@
 // path then runs the same lot on the same worker pool for a wall-clock
 // comparison, and the two are verified to agree die for die.
 //
-//   ./screening_lot [--dice=N] [--sigma=S] [--threads=N] [--lanes=N]
-//                   [--store=PATH] [--trace=PATH] [--metrics]
+//   ./screening_lot [flags]      (--help lists them)
 //
 // When --threads/--lanes are omitted the engine's autotune probe picks
 // them (a short calibration screen at each candidate configuration); pass
@@ -18,10 +17,6 @@
 // reports stream off the job (store/lot_store.hpp) -- reopening an
 // existing store resumes it, recovering from a torn tail if a previous
 // run was killed mid-write.
-//
-// --trace writes a Chrome trace (chrome://tracing / ui.perfetto.dev) of
-// the run's engine-stage spans; --metrics prints the counters and latency
-// histograms the run accumulated.
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -30,6 +25,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
 #include "core/job_queue.hpp"
 #include "core/screening.hpp"
@@ -37,8 +33,7 @@
 #include "dut/filters.hpp"
 #include "store/lot_store.hpp"
 #include "store/records.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/trace_export.hpp"
+#include "telemetry/front_end.hpp"
 
 namespace {
 
@@ -119,23 +114,23 @@ bool reports_identical(const std::vector<core::screening_report>& a,
 
 } // namespace
 
-int main(int argc, char** argv) {
-    const auto dice = static_cast<std::size_t>(flag_value(argc, argv, "dice", 64.0));
-    const double sigma = flag_value(argc, argv, "sigma", 0.03);
-    auto threads = static_cast<std::size_t>(flag_value(argc, argv, "threads", 0.0));
-    auto lanes = static_cast<std::size_t>(flag_value(argc, argv, "lanes", 8.0));
-    const std::string store_path = flag_text(argc, argv, "store");
-
-    // Telemetry is opt-in: detached, every counter/span call is a no-op
-    // branch, so the flags cost nothing when absent.
-    const std::string trace_path = flag_text(argc, argv, "trace");
-    const bool want_metrics = flag_switch(argc, argv, "metrics");
-    telemetry::metric_registry registry;
-    if (!trace_path.empty() || want_metrics) {
-        registry.set_process_name("screening_lot");
-        registry.attach();
-        telemetry::set_thread_name("main");
+int main(int argc, char** argv) try {
+    std::size_t dice = 64;
+    double sigma = 0.03;
+    std::size_t threads = 0; // both autotuned unless given
+    std::size_t lanes = 0;
+    std::string store_path;
+    flag_table flags("screening_lot");
+    flags.add("dice", dice, "dice in the lot")
+        .add("sigma", sigma, "relative component tolerance sigma")
+        .add("threads", threads, "worker threads (omit this or --lanes to autotune)")
+        .add("lanes", lanes, "modulator-bank lanes per group")
+        .add("store", store_path, "append one record per die to this lot store");
+    telemetry::front_end_telemetry telemetry(flags);
+    if (const auto exit_code = flags.parse_main(argc, argv)) {
+        return *exit_code;
     }
+    telemetry.start("screening_lot");
 
     // Production-flow settings: calibrated offset handling, default
     // 200-period acquisitions -- every die pays the grounded calibration
@@ -146,17 +141,13 @@ int main(int argc, char** argv) {
 
     // Flags omitted -> let the engine's autotune probe pick the
     // configuration for this machine (either flag still overrides).
-    if (!flag_present(argc, argv, "threads") || !flag_present(argc, argv, "lanes")) {
+    if (!flags.given("threads") || !flags.given("lanes")) {
         core::sweep_engine_options probe;
         probe.autotune = true;
         core::sweep_engine tuner(factory, settings, probe);
         const auto tuned = tuner.stats();
-        if (!flag_present(argc, argv, "threads")) {
-            threads = tuned.threads;
-        }
-        if (!flag_present(argc, argv, "lanes")) {
-            lanes = tuned.batch_lanes;
-        }
+        threads = flags.given("threads") ? threads : tuned.threads;
+        lanes = flags.given("lanes") ? lanes : tuned.batch_lanes;
         std::cout << "autotune probe picked " << tuned.threads << " threads x "
                   << tuned.batch_lanes << " lanes in "
                   << format_fixed(tuned.autotune_seconds * 1e3, 1) << " ms\n\n";
@@ -228,17 +219,9 @@ int main(int argc, char** argv) {
                   << result_store->records_appended() << " appended this run)\n";
     }
 
-    if (registry.is_attached()) {
-        registry.detach();
-        const auto snapshot = registry.snapshot();
-        if (!trace_path.empty()) {
-            telemetry::write_chrome_trace_file(trace_path, {&snapshot, 1});
-            std::cout << "trace: " << trace_path << "\n";
-        }
-        if (want_metrics) {
-            std::cout << "\n--- telemetry ---\n";
-            telemetry::print_metrics(std::cout, snapshot);
-        }
-    }
+    telemetry.finish(std::cout);
     return identical ? 0 : 1;
+} catch (const configuration_error& error) {
+    std::cerr << "screening_lot: " << error.what() << "\n";
+    return 2;
 }

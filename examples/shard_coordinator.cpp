@@ -4,83 +4,54 @@
 // a single-process run -- at any shard count, worker count and completion
 // order.
 //
-//   ./shard_coordinator --manifest=lot.json --out=lot.store
-//                       [--shards=N] [--workers=N] [--shard-dir=DIR]
-//                       [--worker=PATH] [--timeout-s=T] [--retries=N]
-//                       [--flush-interval=N] [--trace=PATH] [--metrics]
+//   ./shard_coordinator --manifest=lot.json --out=lot.store [flags]
 //
-// --workers caps the processes running at once (default: one per shard);
-// --worker points at the worker binary (default: shard_worker next to
-// this executable); --timeout-s enables straggler kill + retry;
-// --retries is the total attempts allowed per shard (default 3).
-// --trace writes one merged Chrome trace (chrome://tracing /
-// ui.perfetto.dev) with the coordinator and every worker as its own
-// process lane; --metrics prints the fleet-wide merged counters and
-// histograms.  Either flag turns on worker telemetry sidecars.
+// `--help` lists every flag.  --trace writes one merged Chrome trace
+// (chrome://tracing / ui.perfetto.dev) with the coordinator and every
+// worker as its own process lane; --metrics prints the fleet-wide merged
+// counters and histograms.  Either flag turns on worker telemetry sidecars.
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "common/cli.hpp"
 #include "shard/coordinator.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/snapshot.hpp"
-#include "telemetry/trace_export.hpp"
+#include "telemetry/front_end.hpp"
 
 int main(int argc, char** argv) {
     using namespace bistna;
 
-    const std::string manifest_path = flag_text(argc, argv, "manifest");
-    const std::string out_path = flag_text(argc, argv, "out");
-    if (manifest_path.empty() || out_path.empty()) {
-        std::fprintf(stderr,
-                     "usage: shard_coordinator --manifest=lot.json --out=lot.store\n"
-                     "  [--shards=N] [--workers=N] [--shard-dir=DIR] [--worker=PATH]\n"
-                     "  [--timeout-s=T] [--retries=N] [--flush-interval=N]\n"
-                     "  [--trace=trace.json] [--metrics]\n");
-        return 2;
+    std::string manifest_path;
+    std::string out_path;
+    shard::supervisor_options options;
+    std::string worker =
+        (std::filesystem::path(argc > 0 ? argv[0] : "").parent_path() / "shard_worker")
+            .string();
+    flag_table flags("shard_coordinator");
+    flags.add("manifest", manifest_path, "lot manifest JSON", flag_use::required)
+        .add("out", out_path, "merged lot store to write", flag_use::required)
+        .add("shards", options.shards, "shards to split the lot into")
+        .add("workers", options.max_processes, "worker processes at once; 0 = all shards")
+        .add("shard-dir", options.shard_dir, "shard stores and logs (default OUT.shards)")
+        .add("worker", worker, "worker binary")
+        .add("timeout-s", options.straggler_timeout_seconds, "straggler kill + retry; 0 off")
+        .add("retries", options.max_attempts, "attempts allowed per shard")
+        .add("flush-interval", options.flush_interval, "worker records per store flush");
+    telemetry::front_end_telemetry telemetry(flags);
+    if (const auto exit_code = flags.parse_main(argc, argv)) {
+        return *exit_code;
     }
 
     try {
         const shard::lot_manifest manifest = shard::lot_manifest::load(manifest_path);
+        telemetry.start("coordinator", "coordinator-main");
 
-        const std::string trace_path = flag_text(argc, argv, "trace");
-        const bool want_metrics = flag_switch(argc, argv, "metrics");
-        const bool metered = !trace_path.empty() || want_metrics;
-
-        telemetry::metric_registry registry;
-        if (metered) {
-            registry.set_process_name("coordinator");
-            registry.attach();
-            telemetry::set_thread_name("coordinator-main");
-        }
-
-        shard::supervisor_options options;
-        options.shards =
-            static_cast<std::size_t>(flag_value(argc, argv, "shards", 4.0));
-        options.max_processes =
-            static_cast<std::size_t>(flag_value(argc, argv, "workers", 0.0));
-        options.straggler_timeout_seconds = flag_value(argc, argv, "timeout-s", 0.0);
-        options.max_attempts =
-            static_cast<std::size_t>(flag_value(argc, argv, "retries", 3.0));
-        options.flush_interval =
-            static_cast<std::size_t>(flag_value(argc, argv, "flush-interval", 32.0));
-
-        options.shard_dir = flag_text(argc, argv, "shard-dir");
         if (options.shard_dir.empty()) {
             options.shard_dir = out_path + ".shards";
         }
-
-        std::string worker = flag_text(argc, argv, "worker");
-        if (worker.empty()) {
-            // Default: the shard_worker binary built next to this one.
-            worker = (std::filesystem::path(argv[0]).parent_path() / "shard_worker")
-                         .string();
-        }
         options.worker_command = {worker};
-        options.telemetry_sidecars = metered;
+        options.telemetry_sidecars = telemetry.enabled();
         options.on_event = [](const std::string& line) {
             std::printf("  %s\n", line.c_str());
         };
@@ -102,27 +73,7 @@ int main(int argc, char** argv) {
                     report.merge.torn_files, report.shards.attempts.size(),
                     report.shards.retries, out_path.c_str(),
                     static_cast<unsigned long long>(report.merge.bytes_written));
-
-        if (metered) {
-            registry.detach();
-            // Coordinator lane first, then one lane per worker snapshot.
-            std::vector<telemetry::telemetry_snapshot> lanes;
-            lanes.push_back(registry.snapshot());
-            for (auto& snapshot : report.worker_snapshots) {
-                lanes.push_back(snapshot);
-            }
-            if (!trace_path.empty()) {
-                telemetry::write_chrome_trace_file(trace_path, lanes);
-                std::printf("trace: %s (%zu process lanes)\n",
-                            trace_path.c_str(), lanes.size());
-            }
-            if (want_metrics) {
-                std::printf("--- fleet metrics (%zu workers) ---\n",
-                            report.worker_snapshots.size());
-                telemetry::print_metrics(std::cout,
-                                         telemetry::merge_metrics(lanes));
-            }
-        }
+        telemetry.finish(std::cout, report.worker_snapshots);
         return 0;
     } catch (const std::exception& error) {
         std::fprintf(stderr, "shard coordinator: %s\n", error.what());

@@ -176,7 +176,7 @@ csv_document screening_reports_to_csv(const std::vector<screening_report>& repor
                   "stimulus_volts", "stimulus_phase_deg", "offset_rate",
                   "distortion_measured", "thd_db", "thd_f_hz", "limit_count"};
     for (std::size_t j = 0; j < max_limits; ++j) {
-        const std::string p = "l" + std::to_string(j) + "_";
+        const std::string p = std::string("l").append(std::to_string(j)).append("_");
         for (const char* column :
              {"f_hz", "gain_db_min", "gain_db_max", "gain_db", "gain_lo_db", "gain_hi_db",
               "phase_deg", "phase_lo_deg", "phase_hi_deg", "margin_db", "passed"}) {

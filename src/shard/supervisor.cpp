@@ -156,8 +156,7 @@ supervisor_result run_shards(const lot_manifest& manifest,
         argv.push_back("--count=" + std::to_string(range.units));
         argv.push_back("--flush-interval=" + std::to_string(options.flush_interval));
         argv.push_back("--attempt=" + std::to_string(attempt));
-        // Unknown flags are ignored by workers, so the shard identity can
-        // ride along unconditionally.
+        // The shard identity only labels the worker's event-log lines.
         argv.push_back("--shard=" + std::to_string(shard));
         if (options.telemetry_sidecars) {
             worker.telemetry_path =

@@ -27,9 +27,9 @@ namespace bistna::shard {
 
 struct supervisor_options {
     /// argv prefix of the worker process, e.g. {"./shard_worker"} or
-    /// {"/proc/self/exe", "--bistna-shard-worker=1"}.  The supervisor
+    /// {"/proc/self/exe", "--bistna-shard-worker"}.  The supervisor
     /// appends --manifest=/--out=/--first=/--count=/--flush-interval=/
-    /// --attempt= for each spawn.
+    /// --attempt=/--shard= (and --telemetry= with sidecars) for each spawn.
     std::vector<std::string> worker_command;
     /// Extra flags appended verbatim to every spawn (tests inject worker
     /// faults through these).

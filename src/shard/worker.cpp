@@ -92,28 +92,44 @@ worker_shard_report run_worker_shard(const lot_manifest& manifest,
 }
 
 int worker_main(int argc, char** argv) {
-    const std::string manifest_path = flag_text(argc, argv, "manifest");
-    const std::string out_path = flag_text(argc, argv, "out");
-    if (manifest_path.empty() || out_path.empty()) {
-        std::fprintf(stderr,
-                     "usage: shard_worker --manifest=lot.json --out=shard.store\n"
-                     "  [--first=N] [--count=N] [--flush-interval=N] [--attempt=N]\n"
-                     "  fault injection (tests): [--kill-after-records=N "
-                     "--kill-attempt=N] [--stall-ms=N --stall-attempt=N]\n");
-        return 2;
+    std::string manifest_path;
+    std::string out_path;
+    std::size_t shard_id = 0;
+    std::uint64_t attempt = 1;
+    std::string telemetry_path;
+    worker_shard_options options;
+    std::uint64_t kill_attempt = 1;
+    std::uint64_t stall_attempt = 1;
+    flag_table flags("shard_worker");
+    flags.add("manifest", manifest_path, "lot manifest JSON", flag_use::required)
+        .add("out", out_path, "shard store to create", flag_use::required)
+        .add("first", options.first_unit, "first global unit of the shard")
+        .add("count", options.units, "units in the shard (default: the rest of the lot)")
+        .add("flush-interval", options.flush_interval, "records between forced flushes")
+        .add("shard", shard_id, "shard index, for the event log")
+        .add("attempt", attempt, "1-based attempt number, for the event log")
+        .add("telemetry", telemetry_path, "write a telemetry snapshot store here")
+        .add("kill-after-records", options.kill_after_records, "test fault: die after N")
+        .add("kill-attempt", kill_attempt, "the attempt --kill-after-records fires on")
+        .add("stall-ms", options.stall_ms, "test fault: sleep this long before any work")
+        .add("stall-attempt", stall_attempt, "the attempt --stall-ms fires on")
+        // Dispatch sentinels: a test binary or benchmark that doubles as
+        // the worker leaves its sentinel in argv when it hands over.
+        .ignore("bistna-shard-worker", "gtest binary's worker sentinel (tests/main.cpp)")
+        .ignore("perfbench-shard-worker", "perfbench's worker sentinel (perfbench/)");
+    if (const auto exit_code = flags.parse_main(argc, argv)) {
+        return *exit_code;
     }
-    const auto shard_id =
-        static_cast<std::size_t>(flag_value(argc, argv, "shard", 0.0));
-    const auto attempt =
-        static_cast<std::uint64_t>(flag_value(argc, argv, "attempt", 1.0));
     try {
         const lot_manifest manifest = lot_manifest::load(manifest_path);
         const std::uint64_t total = manifest.total_units();
+        if (!flags.given("count")) {
+            options.units = options.first_unit <= total ? total - options.first_unit : 0;
+        }
 
         // A telemetry sidecar path turns this worker into a metered process:
         // attach for the run, then serialize the snapshot next to the shard
         // store so the coordinator can merge fleet-wide metrics and lanes.
-        const std::string telemetry_path = flag_text(argc, argv, "telemetry");
         std::optional<telemetry::metric_registry> registry;
         if (!telemetry_path.empty()) {
             registry.emplace();
@@ -122,29 +138,13 @@ int worker_main(int argc, char** argv) {
             telemetry::set_thread_name("shard-main");
         }
 
-        worker_shard_options options;
-        options.first_unit =
-            static_cast<std::uint64_t>(flag_value(argc, argv, "first", 0.0));
-        const std::uint64_t rest =
-            options.first_unit <= total ? total - options.first_unit : 0;
-        options.units = static_cast<std::uint64_t>(
-            flag_value(argc, argv, "count", static_cast<double>(rest)));
-        options.flush_interval = static_cast<std::size_t>(
-            flag_value(argc, argv, "flush-interval", 32.0));
-
         // Injected faults fire only on the attempt they target, so a
         // retried shard succeeds -- the shape every supervisor test needs.
-        if (flag_present(argc, argv, "kill-after-records") &&
-            attempt == static_cast<std::uint64_t>(
-                           flag_value(argc, argv, "kill-attempt", 1.0))) {
-            options.kill_after_records = static_cast<std::uint64_t>(
-                flag_value(argc, argv, "kill-after-records", 0.0));
+        if (attempt != kill_attempt) {
+            options.kill_after_records = 0;
         }
-        if (flag_present(argc, argv, "stall-ms") &&
-            attempt == static_cast<std::uint64_t>(
-                           flag_value(argc, argv, "stall-attempt", 1.0))) {
-            options.stall_ms =
-                static_cast<std::uint64_t>(flag_value(argc, argv, "stall-ms", 0.0));
+        if (attempt != stall_attempt) {
+            options.stall_ms = 0;
         }
 
         std::printf("%s\n", event_line("start", shard_id, attempt)

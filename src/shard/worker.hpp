@@ -52,12 +52,9 @@ worker_shard_report run_worker_shard(const lot_manifest& manifest,
                                      const std::string& out_path,
                                      const worker_shard_options& options);
 
-/// The worker executable's main: parse --manifest=/--out=/--first=/
-/// --count=/--flush-interval= (plus --attempt= and the fault-injection
-/// flags --kill-after-records=/--kill-attempt=/--stall-ms=/--stall-attempt=,
-/// which only fire when --attempt matches), run the shard, print a one-line
-/// summary.  Unknown flags are ignored, so a host main can carry its own
-/// dispatch sentinel.  Returns the process exit code.
+/// The worker executable's main (`--help` lists its flags; the fault
+/// injections fire only on the --attempt they name): run the shard, print
+/// a one-line summary.  Returns the process exit code.
 int worker_main(int argc, char** argv);
 
 } // namespace bistna::shard

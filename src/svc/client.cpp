@@ -142,22 +142,26 @@ std::vector<store::record> client::run(const shard::lot_manifest& manifest) {
 // --- example front end ------------------------------------------------------
 
 int client_main(int argc, char** argv) {
+    std::string endpoint = "/tmp/bistna_serverd.sock";
+    std::string manifest_path;
+    std::string store_path;
+    std::uint64_t cancel_after = 0;
+    shard::lot_manifest manifest;
+    manifest.dice = 16;
+    flag_table flags("screening_client");
+    flags.add("connect", endpoint, "daemon endpoint: unix socket path or tcp:PORT")
+        .add("manifest", manifest_path, "lot manifest JSON (replaces --dice/--sigma/--lanes)")
+        .add("dice", manifest.dice, "dice in the inline screening lot")
+        .add("sigma", manifest.sigma, "component tolerance sigma of the inline lot")
+        .add("lanes", manifest.batch_lanes, "modulator-bank lanes of the inline lot")
+        .add("store", store_path, "append the streamed records to this lot store")
+        .add("cancel-after", cancel_after, "cancel the job after N records; 0 never");
+    if (const auto exit_code = flags.parse_main(argc, argv)) {
+        return *exit_code;
+    }
     try {
-        const std::string endpoint =
-            flag_string(argc, argv, "connect", "/tmp/bistna_serverd.sock");
-        const std::string manifest_path = flag_text(argc, argv, "manifest");
-        const std::string store_path = flag_text(argc, argv, "store");
-        const std::uint64_t cancel_after = flag_u64(argc, argv, "cancel-after", 0);
-
-        shard::lot_manifest manifest;
         if (!manifest_path.empty()) {
             manifest = shard::lot_manifest::load(manifest_path);
-        } else {
-            manifest.workload = shard::workload_kind::screening;
-            manifest.dice = flag_u64(argc, argv, "dice", 16);
-            manifest.sigma = flag_value(argc, argv, "sigma", 0.03);
-            manifest.batch_lanes =
-                static_cast<std::size_t>(flag_u64(argc, argv, "lanes", 8));
         }
 
         client c(endpoint);

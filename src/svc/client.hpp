@@ -102,9 +102,8 @@ private:
     std::uint64_t next_request_ = 1;
 };
 
-/// The screening_client example's main: --connect, --manifest (JSON path)
-/// or --dice/--sigma for an inline screening lot, --store to append the
-/// streamed records, --cancel-after=N to exercise mid-job cancel.
+/// The screening_client example's main (`--help` lists its flags).
+/// Returns the process exit code.
 int client_main(int argc, char** argv);
 
 } // namespace bistna::svc

@@ -19,8 +19,8 @@
 #include "shard/unit_stream.hpp"
 #include "svc/protocol.hpp"
 #include "svc/socket.hpp"
+#include "telemetry/front_end.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace_export.hpp"
 
 namespace bistna::svc {
 
@@ -854,9 +854,25 @@ void on_stop_signal(int) {
 } // namespace
 
 int server_main(int argc, char** argv) {
+    server_options o;
+    o.listen_path = "/tmp/bistna_serverd.sock";
+    std::uint16_t tcp_port = 0;
+    flag_table flags("bistna_serverd");
+    flags.add("listen", o.listen_path, "unix socket path, or tcp:PORT for loopback TCP")
+        .add("tcp", tcp_port, "also listen on 127.0.0.1:PORT (0 picks a free port)")
+        .add("threads", o.worker_threads, "pool worker threads; 0 = hardware threads")
+        .add("active-jobs", o.max_active_jobs, "jobs dispatched onto the pool at once")
+        .add("admission", o.admission_capacity, "admitted jobs waiting, across sessions")
+        .add("quota", o.session_quota, "in-flight jobs per session")
+        .add("send-queue-bytes", o.send_queue_limit, "bytes buffered per session")
+        .add("stall-timeout-ms", o.stall_timeout_ms, "shed a stalled full session; 0 never")
+        .add("idle-timeout-ms", o.idle_timeout_ms, "close idle sessions; 0 never")
+        .add("progress-every", o.progress_every, "progress every N results; 0 at admission");
+    telemetry::front_end_telemetry telemetry(flags);
+    if (const auto exit_code = flags.parse_main(argc, argv)) {
+        return *exit_code;
+    }
     try {
-        server_options o;
-        o.listen_path = flag_string(argc, argv, "listen", "/tmp/bistna_serverd.sock");
         // --listen also takes the client endpoint grammar: "tcp:PORT"
         // moves the listener to loopback TCP.
         const endpoint ep = parse_endpoint(o.listen_path);
@@ -864,26 +880,10 @@ int server_main(int argc, char** argv) {
             o.listen_path.clear();
             o.tcp_port = ep.port;
         }
-        if (flag_present(argc, argv, "tcp")) {
-            o.tcp_port = static_cast<int>(flag_u64(argc, argv, "tcp", 0));
+        if (flags.given("tcp")) {
+            o.tcp_port = tcp_port;
         }
-        o.worker_threads = flag_u64(argc, argv, "threads", 0);
-        o.max_active_jobs = flag_u64(argc, argv, "active-jobs", 2);
-        o.admission_capacity = flag_u64(argc, argv, "admission", 16);
-        o.session_quota = flag_u64(argc, argv, "quota", 2);
-        o.send_queue_limit = flag_u64(argc, argv, "send-queue-bytes", 4u << 20);
-        o.stall_timeout_ms = flag_u64(argc, argv, "stall-timeout-ms", 5000);
-        o.idle_timeout_ms = flag_u64(argc, argv, "idle-timeout-ms", 0);
-        o.progress_every = flag_u64(argc, argv, "progress-every", 0);
-
-        const std::string trace_path = flag_text(argc, argv, "trace");
-        const bool want_metrics = flag_switch(argc, argv, "metrics");
-        telemetry::metric_registry registry;
-        if (!trace_path.empty() || want_metrics) {
-            registry.set_process_name("bistna_serverd");
-            registry.attach();
-            telemetry::set_thread_name("main");
-        }
+        telemetry.start("bistna_serverd");
 
         service_server server(std::move(o));
         server.start();
@@ -912,18 +912,7 @@ int server_main(int argc, char** argv) {
                   << " cancelled, " << c.jobs_rejected << " rejected, "
                   << c.jobs_failed << " failed\n";
 
-        if (registry.is_attached()) {
-            registry.detach();
-            const auto snapshot = registry.snapshot();
-            if (!trace_path.empty()) {
-                telemetry::write_chrome_trace_file(trace_path, {&snapshot, 1});
-                std::cout << "trace: " << trace_path << "\n";
-            }
-            if (want_metrics) {
-                std::cout << "\n--- telemetry ---\n";
-                telemetry::print_metrics(std::cout, snapshot);
-            }
-        }
+        telemetry.finish(std::cout);
         return 0;
     } catch (const std::exception& e) {
         std::cerr << "bistna_serverd: " << e.what() << "\n";

@@ -125,11 +125,8 @@ private:
     std::unique_ptr<impl> impl_;
 };
 
-/// The daemon executable's main: --listen=PATH / --tcp=PORT,
-/// --threads/--active-jobs/--admission/--quota/--send-queue-bytes/
-/// --stall-timeout-ms/--idle-timeout-ms/--progress-every, plus the
-/// --trace=PATH/--metrics telemetry flags every front-end carries.  Runs
-/// until SIGINT/SIGTERM.  Returns the process exit code.
+/// The daemon executable's main (`--help` lists its flags): runs until
+/// SIGINT/SIGTERM.  Returns the process exit code.
 int server_main(int argc, char** argv);
 
 } // namespace bistna::svc

@@ -24,7 +24,7 @@ std::string format_double(double value) {
 }
 
 std::string quoted(const std::string& s) {
-    return "\"" + json_escape(s) + "\"";
+    return std::string("\"").append(json_escape(s)).append("\"");
 }
 
 // trace_event timestamps are microseconds; keep sub-microsecond precision

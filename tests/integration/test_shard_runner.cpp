@@ -66,7 +66,7 @@ std::string single_process_bytes(const temp_dir& dir,
 shard::supervisor_options fleet_options(const temp_dir& dir, std::size_t shards,
                                         std::size_t workers) {
     shard::supervisor_options options;
-    options.worker_command = {"/proc/self/exe", "--bistna-shard-worker=1"};
+    options.worker_command = {"/proc/self/exe", "--bistna-shard-worker"};
     options.shards = shards;
     options.max_processes = workers;
     options.shard_dir = dir.file("shards");

@@ -7,12 +7,15 @@
 // shard_worker example available.
 #include <gtest/gtest.h>
 
-#include "common/cli.hpp"
+#include <string_view>
+
 #include "shard/worker.hpp"
 
 int main(int argc, char** argv) {
-    if (bistna::flag_present(argc, argv, "bistna-shard-worker")) {
-        return bistna::shard::worker_main(argc, argv);
+    for (int i = 1; i < argc; ++i) {
+        if (std::string_view(argv[i]) == "--bistna-shard-worker") {
+            return bistna::shard::worker_main(argc, argv);
+        }
     }
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();

@@ -53,7 +53,7 @@ shard::lot_manifest fast_manifest(std::uint64_t dice) {
 }
 
 std::vector<std::string> self_worker_command() {
-    return {"/proc/self/exe", "--bistna-shard-worker=1"};
+    return {"/proc/self/exe", "--bistna-shard-worker"};
 }
 
 std::string read_text(const std::string& path) {

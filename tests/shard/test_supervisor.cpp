@@ -8,11 +8,14 @@
 // one.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "common/error.hpp"
 #include "shard/manifest.hpp"
@@ -53,7 +56,7 @@ shard::lot_manifest fast_manifest(std::uint64_t dice) {
 
 /// This test binary doubles as the worker process (tests/main.cpp).
 std::vector<std::string> self_worker_command() {
-    return {"/proc/self/exe", "--bistna-shard-worker=1"};
+    return {"/proc/self/exe", "--bistna-shard-worker"};
 }
 
 std::string read_bytes(const std::string& path) {
@@ -158,15 +161,30 @@ TEST(ShardSupervisor, ShardExhaustingItsAttemptsFailsTheRun) {
     const auto manifest = fast_manifest(2);
 
     shard::supervisor_options options;
-    // The worker command pins a nonexistent manifest BEFORE the
-    // supervisor's own --manifest flag (first match wins in the worker's
-    // flag parser), so every attempt exits nonzero.
+    // The worker command pins a nonexistent manifest on top of the
+    // supervisor's own --manifest flag; the worker rejects the repeated
+    // flag, so every attempt exits nonzero.
     options.worker_command = self_worker_command();
     options.worker_command.push_back("--manifest=/nonexistent/lot.json");
     options.shards = 1;
     options.max_attempts = 2;
     options.shard_dir = dir.file("shards");
     EXPECT_THROW((void)shard::run_shards(manifest, options), configuration_error);
+}
+
+TEST(ShardSupervisor, WorkerRejectsUnknownFlagWithoutWritingAStore) {
+    temp_dir dir("bistna_supervisor_bogus_flag");
+    fast_manifest(2).save(dir.file("lot.json"));
+    // Resolved here: inside std::system's shell /proc/self/exe is the shell.
+    const std::string self = std::filesystem::read_symlink("/proc/self/exe").string();
+    const std::string command = self + " --bistna-shard-worker --manifest=" +
+                                dir.file("lot.json") + " --out=" + dir.file("shard.store") +
+                                " --bogus=1 > " + dir.file("worker.log") + " 2>&1";
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << status;
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+    EXPECT_FALSE(std::filesystem::exists(dir.file("shard.store")));
+    EXPECT_NE(read_bytes(dir.file("worker.log")).find("--bogus"), std::string::npos);
 }
 
 TEST(ShardSupervisor, UnspawnableWorkerBinaryThrows) {

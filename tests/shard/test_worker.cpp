@@ -66,8 +66,10 @@ std::string sharded_bytes(const temp_dir& dir, const shard::lot_manifest& manife
         options.first_unit = range.first;
         options.units = range.units;
         options.flush_interval = flush_interval;
-        const std::string path =
-            dir.file("s" + std::to_string(shards) + "-" + std::to_string(range.index));
+        const std::string path = dir.file(std::string("s")
+                                              .append(std::to_string(shards))
+                                              .append("-")
+                                              .append(std::to_string(range.index)));
         const auto report = shard::run_worker_shard(manifest, path, options);
         EXPECT_EQ(report.records, range.units);
         files.push_back(path);

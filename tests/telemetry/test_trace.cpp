@@ -5,10 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/json.hpp"
+#include "telemetry/front_end.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/snapshot.hpp"
 #include "telemetry/span.hpp"
@@ -179,6 +185,43 @@ TEST(TraceExport, EscapesProcessAndSpanStringsSafely) {
     const json_value* args = events->elements.front().find("args");
     ASSERT_NE(args, nullptr);
     EXPECT_EQ(args->find("name")->str, "evil \"proc\"\n\t\\");
+}
+
+TEST(TraceExport, FrontEndFlagsTraceOneLanePerSnapshotAndMergeMetrics) {
+    const std::string path = "/tmp/bistna_front_end_trace.json";
+    std::filesystem::remove(path);
+    flag_table flags("front_end");
+    telemetry::front_end_telemetry session(flags);
+    std::vector<std::string> args = {"front_end", "--trace=" + path, "--metrics"};
+    std::vector<char*> argv;
+    for (auto& arg : args) {
+        argv.push_back(arg.data());
+    }
+    ASSERT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data()));
+    ASSERT_TRUE(session.enabled());
+
+    session.start("front_end");
+    ASSERT_TRUE(telemetry::attached());
+    telemetry::counter_add(telemetry::counter_id("test.front_end.items"), 3);
+    telemetry::telemetry_snapshot worker;
+    worker.process_name = "worker";
+    worker.counters.push_back({"test.front_end.items", 4});
+    std::ostringstream out;
+    session.finish(out, {&worker, 1});
+    EXPECT_FALSE(telemetry::attached());
+
+    // Counters sum across the lanes; the trace has both process lanes.
+    EXPECT_NE(out.str().find("test.front_end.items = 7"), std::string::npos) << out.str();
+    std::ifstream in(path);
+    const auto trace = parse_json(std::string(std::istreambuf_iterator<char>(in), {}));
+    std::vector<std::string> processes;
+    for (const auto& event : trace.find("traceEvents")->elements) {
+        if (event.find("name")->str == "process_name") {
+            processes.push_back(event.find("args")->find("name")->str);
+        }
+    }
+    EXPECT_EQ(processes, (std::vector<std::string>{"front_end", "worker"}));
+    std::filesystem::remove(path);
 }
 
 } // namespace
