@@ -310,6 +310,12 @@ public:
         }
     }
 
+    /// True once cancellation was requested -- by cancel(), by a failing
+    /// item or callback, or by the destruction of the queue.
+    bool cancel_requested() const noexcept {
+        return channel_ && channel_->cancel_requested.load(std::memory_order_relaxed);
+    }
+
     /// Block until the job reaches a terminal state (all items accounted
     /// for).  Does not consume the stream.
     void wait() const {

@@ -120,11 +120,12 @@ struct stage_records {
 };
 
 /// A lane group in flight on one worker: a board and an evaluator lane per
-/// item, the engine's demod-table cache, calibration share and the
-/// worker's arena always attached.  Screening, Bode and acquisition groups
-/// are sequences of the three program stages below -- calibration,
-/// fundamental per frequency, THD -- over the lanes still measuring, each
-/// stage rendered by the one stage runner (render()).
+/// item, the engine's demod-table cache and the worker's arena always
+/// attached (offset calibrations come from the process-wide
+/// eval::calibration_memo).  Screening, Bode and acquisition groups are
+/// sequences of the three program stages below -- calibration, fundamental
+/// per frequency, THD -- over the lanes still measuring, each stage
+/// rendered by the one stage runner (render()).
 class lane_group {
 public:
     /// `render_keys` (empty, or one per lane) tag acquisition items whose
@@ -132,13 +133,12 @@ public:
     /// `shared_records` (see render_stage).
     lane_group(std::vector<demonstrator_board> boards,
                std::vector<eval::evaluator_config> configs, const analyzer_settings& settings,
-               eval::demod_table_cache& tables, eval::calibration_share& calibration,
-               std::vector<std::uint64_t> render_keys = {},
+               eval::demod_table_cache& tables, std::vector<std::uint64_t> render_keys = {},
                stimulus_cache* shared_records = nullptr)
         : boards_(std::move(boards)), evaluators_(std::move(configs)), settings_(settings),
           scratch_(worker_arena()), render_keys_(std::move(render_keys)),
           shared_records_(shared_records) {
-        evaluators_.set_shared_resources(&tables, &scratch_, &calibration);
+        evaluators_.set_shared_resources(&tables, &scratch_);
         all_.resize(boards_.size());
         std::iota(all_.begin(), all_.end(), std::size_t{0});
     }
@@ -298,7 +298,6 @@ sweep_engine::sweep_engine(board_factory factory, analyzer_settings settings,
         run_autotune(); // may rewrite options_.threads / options_.batch_lanes
     }
     demod_tables_ = std::make_shared<eval::demod_table_cache>();
-    calibration_share_ = std::make_shared<eval::calibration_share>();
     queue_ = options_.queue ? options_.queue
                             : std::make_shared<job_queue>(options_.threads);
     if (options_.share_stimulus) {
@@ -332,7 +331,7 @@ sweep_stats sweep_engine::stats() const {
     stats.autotune_seconds = autotune_seconds_;
     stats.autotune_candidates = autotune_candidates_;
     stats.stimulus = stimulus_stats();
-    stats.calibration_snapshots = calibration_share_ ? calibration_share_->entries() : 0;
+    stats.calibration_snapshots = eval::calibration_memo::process().entries();
     return stats;
 }
 
@@ -454,8 +453,7 @@ void sweep_engine::bode_group(const std::vector<hertz>& frequencies,
         configs[l].seed = sweep_item_seed(options_.base_seed, first + l + 1);
         timebases.push_back(sim::timebase::for_wave_frequency(frequencies[first + l]));
     }
-    lane_group group(std::move(boards), std::move(configs), settings_, *demod_tables_,
-                     *calibration_share_);
+    lane_group group(std::move(boards), std::move(configs), settings_, *demod_tables_);
     const auto outputs = group.fundamental(group.all(), timebases);
     for (std::size_t l = 0; l < count; ++l) {
         out[l] = group.point(l, frequencies[first + l], calibration, outputs[l]);
@@ -610,7 +608,7 @@ void sweep_engine::screen_group(const spec_mask& mask, const screening_options& 
     }
     lane_group group(std::move(boards),
                      std::vector<eval::evaluator_config>(count, settings_.evaluator),
-                     settings_, *demod_tables_, *calibration_share_);
+                     settings_, *demod_tables_);
 
     // Stage 1 -- the stimulus self-test through the calibration path.
     const auto inputs = group.calibrate();
@@ -815,7 +813,7 @@ void sweep_engine::acquire_group(const std::vector<acquisition_item>& items,
         render_keys.push_back(items[first + l].render_key);
     }
     lane_group group(std::move(boards), std::move(configs), settings_, *demod_tables_,
-                     *calibration_share_, std::move(render_keys), &shared_records);
+                     std::move(render_keys), &shared_records);
 
     // Stage 1 -- calibration-path characterization (the scalar calibrate()).
     const auto inputs = group.calibrate();

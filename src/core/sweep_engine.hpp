@@ -47,7 +47,6 @@ namespace bistna {
 class arena;
 namespace eval {
 class demod_table_cache;
-class calibration_share;
 } // namespace eval
 } // namespace bistna
 
@@ -113,7 +112,9 @@ struct sweep_stats {
     double autotune_seconds = 0.0;
     std::vector<autotune_candidate> autotune_candidates;
     stimulus_cache_stats stimulus;
-    /// Calibration snapshots resident in the engine's transplant share.
+    /// Calibration snapshots resident in the process-wide memo the lane
+    /// fast path consults (eval::calibration_memo::process(), shared by
+    /// every engine of the process).
     std::size_t calibration_snapshots = 0;
 };
 
@@ -274,8 +275,9 @@ private:
     // The three lane-group shapes below run the scalar program in
     // lockstep over one stage runner (sweep_engine.cpp): every stage
     // renders as a shared record or a banked lane-major block and feeds the
-    // lane-major evaluator kernels, with cached demodulation tables, the
-    // calibration transplant share and the worker's arena attached.
+    // lane-major evaluator kernels, with cached demodulation tables and the
+    // worker's arena attached and offset calibrations transplanted from
+    // the process-wide eval::calibration_memo.
 
     /// A lane group of Bode points (the shared-calibration lockstep path),
     /// points written to out[0..count).  The lanes differ only in timebase.
@@ -317,11 +319,9 @@ private:
     analyzer_settings settings_;
     sweep_engine_options options_;
     std::shared_ptr<stimulus_cache> stimulus_cache_;
-    /// Shared lane-group resources: demodulation sign tables (pure
-    /// functions of the acquisition settings) and the calibration
-    /// transplant share.  Both thread-safe.
+    /// Shared lane-group demodulation sign tables (pure functions of the
+    /// acquisition settings; thread-safe).
     std::shared_ptr<eval::demod_table_cache> demod_tables_;
-    std::shared_ptr<eval::calibration_share> calibration_share_;
     bool autotuned_ = false;
     double autotune_seconds_ = 0.0;
     std::vector<autotune_candidate> autotune_candidates_;

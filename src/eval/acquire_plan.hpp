@@ -3,28 +3,35 @@
 // Every acquire call used to rebuild the per-sample demodulation control
 // tables (the q_k square-wave signs and the counter accumulation sign) and
 // every lane used to run its own grounded-input offset calibration.  Both
-// are pure functions of a handful of parameters, so the sweep engine keeps
+// are pure functions of a handful of parameters, so the fast path keeps
 // them in thread-safe shared caches:
 //
 //  - demod_table_cache maps acquisition settings to immutable sign tables,
 //    built once per program stage and reused by every work item;
-//  - calibration_share transplants the post-calibration extractor state
-//    between lanes constructed with the same modulator params and seed.
-//    Calibration consumes two RNG spawns and produces rates that are a pure
-//    function of (params, stream position, length), so restoring a snapshot
-//    into such a lane is bit-identical to the lane calibrating itself --
-//    the restore verifies the stream position and params match before
-//    adopting anything.
+//  - calibration_memo is the process-wide memo of grounded-input
+//    calibrations, consulted only by batch_evaluator.  A calibration
+//    consumes two RNG spawns and produces rates that are a pure function
+//    of (params, stream position, length); a noiseless modulator never
+//    draws from its stream, so its rates do not depend on the position at
+//    all and one entry serves every seed, every engine and every request
+//    of the process.  Noisy lanes are keyed on their stream position too.
+//    The scalar paths (signature_extractor::calibrate_offset,
+//    sinewave_evaluator, network_analyzer) never consult it: they stay the
+//    independent oracle the fast path is checked against.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
+#include "common/rng.hpp"
 #include "eval/signature.hpp"
 #include "sd/modulator.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace bistna::eval {
 
@@ -40,36 +47,69 @@ private:
     std::unordered_map<std::uint64_t, std::shared_ptr<const demod_tables>> entries_;
 };
 
-/// Thread-safe map of calibration snapshots keyed on (modulator params,
-/// seed, calibration length).  find/store race benignly: the snapshot for a
-/// key is unique (a pure function of the key), so double stores are
-/// idempotent and a miss merely costs one redundant calibration.
-class calibration_share {
+/// Identity of one grounded-input calibration: the bit pattern of every
+/// modulator parameter, the calibration length and -- for a noisy
+/// modulator only -- the RNG stream position it calibrates from.
+struct calibration_key {
+    std::array<std::uint64_t, 9> params_bits{};
+    std::size_t periods = 0;
+    std::size_t n_per_period = 0;
+    bool noisy = false;
+    bistna::rng stream{}; ///< the position when noisy, else the default
+
+    /// Key of a lane with `params` whose stream sits at `position`.
+    static calibration_key of(const sd::modulator_params& params,
+                              const bistna::rng& position, std::size_t periods,
+                              std::size_t n_per_period);
+
+    bool operator==(const calibration_key&) const noexcept = default;
+};
+
+struct calibration_key_hash {
+    std::size_t operator()(const calibration_key& key) const noexcept;
+};
+
+struct calibration_memo_stats {
+    std::size_t hits = 0;      ///< lookups served from the memo
+    std::size_t misses = 0;    ///< lookups that had to calibrate
+    std::size_t evictions = 0; ///< entries dropped by the capacity bound
+    std::size_t entries = 0;   ///< snapshots currently resident
+};
+
+/// Thread-safe, bounded memo of calibration snapshots.  find/store race
+/// benignly: the snapshot for a key is unique (a pure function of the
+/// key), so a double store keeps the first and a concurrent miss merely
+/// costs one redundant calibration.  At the cap the oldest entry is
+/// evicted, so a long-lived process never wedges into all-miss.
+class calibration_memo {
 public:
-    /// Snapshot for lanes constructed with these params and seed, or null.
-    std::shared_ptr<const calibration_snapshot>
-    find(const sd::modulator_params& params, std::uint64_t seed, std::size_t periods,
-         std::size_t n_per_period);
+    /// The memo every batch_evaluator in the process consults.
+    static calibration_memo& process();
 
-    /// Publish a snapshot for the key.  Ignored (cache full) beyond a size
-    /// cap -- correctness never depends on a store landing.
-    void store(std::uint64_t seed, std::size_t periods, std::size_t n_per_period,
-               calibration_snapshot snapshot);
+    /// Resident-entry cap; the oldest entry is evicted beyond it.
+    static constexpr std::size_t max_entries = 4096;
 
+    /// Snapshot for `key`, or null.
+    std::shared_ptr<const calibration_snapshot> find(const calibration_key& key);
+
+    /// Publish the snapshot of a calibration run under `key`.
+    void store(const calibration_key& key,
+               std::shared_ptr<const calibration_snapshot> snapshot);
+
+    calibration_memo_stats stats() const;
     std::size_t entries() const;
 
 private:
-    static std::uint64_t key_hash(const sd::modulator_params& params, std::uint64_t seed,
-                                  std::size_t periods, std::size_t n_per_period);
-
-    /// Growth cap: screening shares one evaluator config across a whole
-    /// lot, so a handful of entries covers real batches; mixed-seed
-    /// acquisition batches stop publishing here instead of growing without
-    /// bound.
-    static constexpr std::size_t max_entries = 4096;
-
     mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t, std::shared_ptr<const calibration_snapshot>> entries_;
+    std::unordered_map<calibration_key, std::shared_ptr<const calibration_snapshot>,
+                       calibration_key_hash>
+        entries_;
+    std::deque<calibration_key> insertion_order_;
+    // The registry is the taxonomy owner; stats() is a thin view over these
+    // cells (eval.calibration.* in an attached registry's snapshot).
+    telemetry::counter_cell hits_{"eval.calibration.hits"};
+    telemetry::counter_cell misses_{"eval.calibration.misses"};
+    telemetry::counter_cell evictions_{"eval.calibration.evictions"};
 };
 
 } // namespace bistna::eval

@@ -50,11 +50,10 @@ acquisition_settings batch_evaluator::settings_for(std::size_t k,
 
 void batch_evaluator::calibrate() { ensure_calibrated(all_lanes_); }
 
-void batch_evaluator::set_shared_resources(demod_table_cache* tables, arena* scratch,
-                                           calibration_share* calibration) noexcept {
+void batch_evaluator::set_shared_resources(demod_table_cache* tables,
+                                           arena* scratch) noexcept {
     shared_tables_ = tables;
     scratch_ = scratch;
-    calibration_share_ = calibration;
 }
 
 std::shared_ptr<const demod_tables>
@@ -71,88 +70,79 @@ void batch_evaluator::ensure_calibrated(std::span<const std::size_t> lane_ids) {
     }
     const std::size_t cal_periods = configs_.front().calibration_periods;
     const std::size_t n = configs_.front().n_per_period;
-    std::vector<std::size_t> pending;
+
+    // Uncalibrated lanes grouped by memo key: one lookup per key, and one
+    // exemplar per missed key calibrated in a single lockstep pass.  A
+    // screening lot or a dictionary of noiseless designs resolves to a
+    // handful of keys; a group seeded per noisy lane to one key per lane.
+    struct key_group {
+        calibration_key key;
+        std::vector<std::size_t> lanes;
+        std::shared_ptr<const calibration_snapshot> snapshot;
+    };
+    std::vector<key_group> groups;
     for (std::size_t lane : lane_ids) {
         BISTNA_EXPECTS(lane < lanes(), "lane index out of range");
-        if (!extractors_[lane].offset_calibrated()) {
-            pending.push_back(lane);
+        if (extractors_[lane].offset_calibrated()) {
+            continue;
+        }
+        auto key = calibration_key::of(configs_[lane].modulator,
+                                       extractors_[lane].rng_state(), cal_periods, n);
+        const auto it = std::find_if(groups.begin(), groups.end(),
+                                     [&](const key_group& g) { return g.key == key; });
+        if (it != groups.end()) {
+            it->lanes.push_back(lane);
+        } else {
+            groups.push_back({std::move(key), {lane}, nullptr});
         }
     }
-    if (pending.empty()) {
+    if (groups.empty()) {
         return;
     }
 
-    // Adopt published snapshots where possible, then run the grounded loop
-    // for whatever remains and publish the outcome.  Restores verify params
-    // and stream position, so a transplanted lane is bit-identical to one
-    // that calibrated itself.
-    const auto restore_pass = [&](const std::vector<std::size_t>& lanes_in) {
-        std::vector<std::size_t> missed;
-        for (std::size_t lane : lanes_in) {
-            const auto snapshot = calibration_share_->find(
-                configs_[lane].modulator, configs_[lane].seed, cal_periods, n);
-            if (snapshot == nullptr ||
-                !extractors_[lane].try_restore_calibration(*snapshot)) {
-                missed.push_back(lane);
-            }
+    calibration_memo& memo = calibration_memo::process();
+    std::vector<key_group*> missed;
+    std::vector<std::size_t> exemplars;
+    std::vector<bistna::rng> before;
+    for (key_group& group : groups) {
+        group.snapshot = memo.find(group.key);
+        if (group.snapshot == nullptr) {
+            missed.push_back(&group);
+            exemplars.push_back(group.lanes.front());
+            before.push_back(extractors_[group.lanes.front()].rng_state());
         }
-        return missed;
-    };
-    const auto calibrate_lanes = [&](const std::vector<std::size_t>& lanes_in) {
-        std::vector<bistna::rng> before;
-        if (calibration_share_ != nullptr) {
-            before.reserve(lanes_in.size());
-            for (std::size_t lane : lanes_in) {
-                before.push_back(extractors_[lane].rng_state());
-            }
-        }
-        std::vector<signature_extractor*> pointers;
-        pointers.reserve(lanes_in.size());
-        for (std::size_t lane : lanes_in) {
-            pointers.push_back(&extractors_[lane]);
-        }
-        signature_extractor::calibrate_offset_batch(pointers, cal_periods, n);
-        if (calibration_share_ == nullptr) {
-            return;
-        }
-        for (std::size_t i = 0; i < lanes_in.size(); ++i) {
-            const std::size_t lane = lanes_in[i];
-            calibration_snapshot snapshot;
-            snapshot.params = configs_[lane].modulator;
-            snapshot.rng_before = before[i];
-            snapshot.rng_after = extractors_[lane].rng_state();
-            snapshot.offset_rate_1 = extractors_[lane].offset_rate_ch1();
-            snapshot.offset_rate_2 = extractors_[lane].offset_rate_ch2();
-            snapshot.calibration_samples = extractors_[lane].calibration_samples();
-            calibration_share_->store(configs_[lane].seed, cal_periods, n,
-                                      std::move(snapshot));
-        }
-    };
-
-    if (calibration_share_ != nullptr) {
-        pending = restore_pass(pending);
-        // Calibrate one exemplar per distinct (params, seed) in one
-        // lockstep pass, then transplant it to the rest: a screening lot
-        // seeds every lane identically and calibrates a single lane even on
-        // the very first work item, while a group seeded per lane (a
-        // dictionary build) calibrates all of them at once.
-        std::vector<std::size_t> exemplars;
-        std::vector<std::size_t> duplicates;
-        for (std::size_t lane : pending) {
-            const bool seen =
-                std::any_of(exemplars.begin(), exemplars.end(), [&](std::size_t e) {
-                    return configs_[e].seed == configs_[lane].seed &&
-                           configs_[e].modulator == configs_[lane].modulator;
-                });
-            (seen ? duplicates : exemplars).push_back(lane);
-        }
-        if (!exemplars.empty()) {
-            calibrate_lanes(exemplars);
-        }
-        pending = restore_pass(duplicates);
     }
-    if (!pending.empty()) {
-        calibrate_lanes(pending);
+    if (!exemplars.empty()) {
+        signature_extractor::calibrate_offset_batch(lane_pointers(exemplars), cal_periods, n);
+        for (std::size_t i = 0; i < missed.size(); ++i) {
+            const signature_extractor& ex = extractors_[exemplars[i]];
+            auto snapshot = std::make_shared<calibration_snapshot>();
+            snapshot->params = configs_[exemplars[i]].modulator;
+            snapshot->rng_before = before[i];
+            snapshot->rng_after = ex.rng_state();
+            snapshot->offset_rate_1 = ex.offset_rate_ch1();
+            snapshot->offset_rate_2 = ex.offset_rate_ch2();
+            snapshot->calibration_samples = ex.calibration_samples();
+            missed[i]->snapshot = snapshot;
+            memo.store(missed[i]->key, std::move(snapshot));
+        }
+    }
+
+    // Transplant to every other lane.  A restore verifies params (and the
+    // stream position of a noisy lane), so an adopted lane is
+    // bit-identical to one that calibrated itself; anything it refuses
+    // (NaN params never compare equal) calibrates the plain way.
+    std::vector<std::size_t> refused;
+    for (const key_group& group : groups) {
+        for (std::size_t lane : group.lanes) {
+            if (!extractors_[lane].offset_calibrated() &&
+                !extractors_[lane].try_restore_calibration(*group.snapshot)) {
+                refused.push_back(lane);
+            }
+        }
+    }
+    if (!refused.empty()) {
+        signature_extractor::calibrate_offset_batch(lane_pointers(refused), cal_periods, n);
     }
 }
 

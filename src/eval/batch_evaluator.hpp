@@ -30,7 +30,6 @@ class arena;
 namespace bistna::eval {
 
 class demod_table_cache;
-class calibration_share;
 
 /// One program stage's records for the requested lanes of a lockstep
 /// acquisition, in a layout the lane-major kernels read in place: a single
@@ -54,18 +53,18 @@ public:
     std::size_t lanes() const noexcept { return configs_.size(); }
 
     /// Attach the engine's shared fast-path resources: `tables` caches the
-    /// per-stage demodulation sign tables across work items, `scratch`
-    /// bump-allocates the transpose scratch of per-lane-span acquisitions
-    /// (required by that form), and `calibration` transplants
-    /// post-calibration state between lanes with identical (params, seed)
-    /// instead of re-running the grounded calibration -- the dominant
-    /// per-die cost of a screening flow.  All bit-identical to the plain
-    /// path; tables and calibration are optional.
-    void set_shared_resources(demod_table_cache* tables, arena* scratch,
-                              calibration_share* calibration) noexcept;
+    /// per-stage demodulation sign tables across work items (optional),
+    /// `scratch` bump-allocates the transpose scratch of per-lane-span
+    /// acquisitions (required by that form).  Both bit-identical to the
+    /// plain path.
+    void set_shared_resources(demod_table_cache* tables, arena* scratch) noexcept;
 
     /// One-time batched offset calibration of every not-yet-calibrated
     /// lane (automatic on first use when the offset mode requires it).
+    /// Lanes adopt calibration_memo::process() snapshots where one exists
+    /// -- the dominant per-die cost of a flow, paid once per modulator
+    /// design and process -- and one exemplar per remaining distinct key
+    /// runs the grounded loop.  Bit-identical to every lane calibrating.
     void calibrate();
 
     // Every measurement runs over a subset of lanes: records belong to
@@ -113,7 +112,6 @@ private:
     std::vector<std::size_t> all_lanes_;
     demod_table_cache* shared_tables_ = nullptr;
     arena* scratch_ = nullptr;
-    calibration_share* calibration_share_ = nullptr;
 };
 
 } // namespace bistna::eval

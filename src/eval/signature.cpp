@@ -65,10 +65,19 @@ void signature_extractor::calibrate_offset(std::size_t periods, std::size_t n_pe
 
 bool signature_extractor::try_restore_calibration(
     const calibration_snapshot& snapshot) noexcept {
-    if (calibrated_ || !(params_ == snapshot.params) || !(rng_ == snapshot.rng_before)) {
+    if (calibrated_ || !(params_ == snapshot.params)) {
         return false;
     }
-    rng_ = snapshot.rng_after;
+    if (params_.noisy()) {
+        if (!(rng_ == snapshot.rng_before)) {
+            return false;
+        }
+        rng_ = snapshot.rng_after;
+    } else {
+        // The two spawns calibrate_offset hands its modulator pair.
+        rng_.spawn();
+        rng_.spawn();
+    }
     offset_rate_1_ = snapshot.offset_rate_1;
     offset_rate_2_ = snapshot.offset_rate_2;
     calibration_samples_ = snapshot.calibration_samples;

@@ -76,10 +76,13 @@ struct demod_tables {
 };
 
 /// One lane's post-calibration state, transplantable into any extractor
-/// constructed with the same modulator params whose RNG stream still sits
-/// at the snapshot's origin: calibration consumes two spawns and produces
-/// rates that are a pure function of (params, stream position, length), so
-/// restoring is bit-identical to the lane running calibrate_offset itself.
+/// constructed with the same modulator params: calibration consumes two
+/// spawns and produces rates that are a pure function of (params, stream
+/// position, length), so restoring is bit-identical to the lane running
+/// calibrate_offset itself.  A noisy lane must still sit at the
+/// snapshot's origin (rng_before); a noiseless modulator never draws, so
+/// its rates hold at any stream position and the restore advances the
+/// lane's own stream by the two spawns instead of adopting rng_after.
 struct calibration_snapshot {
     sd::modulator_params params;
     bistna::rng rng_before{0}; ///< stream position the calibration consumed from
@@ -107,10 +110,10 @@ public:
     const bistna::rng& rng_state() const noexcept { return rng_; }
 
     /// Adopt a calibration snapshot captured on a lane with identical
-    /// params and stream position -- bit-identical to running
-    /// calibrate_offset here.  Returns false (and changes nothing) when
-    /// this lane is already calibrated or its params/stream position do not
-    /// match the snapshot's origin.
+    /// params (and, for noisy params, identical stream position) --
+    /// bit-identical to running calibrate_offset here.  Returns false (and
+    /// changes nothing) when this lane is already calibrated or the
+    /// snapshot's origin does not match.
     bool try_restore_calibration(const calibration_snapshot& snapshot) noexcept;
 
     /// Acquire signatures for one measurement.

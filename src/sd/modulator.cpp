@@ -47,7 +47,7 @@ sd_modulator::sd_modulator(modulator_params params, bistna::rng noise_rng)
     BISTNA_EXPECTS(params.vref > 0.0, "Vref must be positive");
     // Finite DC gain makes the integrator lossy.
     leak_ = params.integrator_leak();
-    has_noise_ = params.noise_rms > 0.0;
+    has_noise_ = params.noisy();
 }
 
 int sd_modulator::step(double input, bool modulation_positive) {

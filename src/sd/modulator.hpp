@@ -50,6 +50,11 @@ struct modulator_params {
     /// express an integrator-leak fault directly on its severity axis.
     static double dc_gain_db_for_leak(double leak, double ci_over_cf = 0.4) noexcept;
 
+    /// True when each step draws sampled noise.  A noiseless modulator
+    /// never touches its RNG, so its output is a function of the params
+    /// and the input alone -- whatever stream it was handed.
+    bool noisy() const noexcept { return noise_rms > 0.0; }
+
     /// Exact (bitwise-value) equality: two equal params drive bit-identical
     /// modulators from equal RNG streams, the precondition of the
     /// calibration-transplant fast path.
@@ -80,7 +85,7 @@ private:
     bistna::rng rng_;
     double state_ = 0.0;
     double leak_ = 1.0;
-    bool has_noise_ = false; ///< noise_rms > 0, hoisted out of step()
+    bool has_noise_ = false; ///< params.noisy(), hoisted out of step()
     std::size_t clip_events_ = 0;
 };
 

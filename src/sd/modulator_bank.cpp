@@ -204,7 +204,7 @@ std::size_t modulator_bank::add_lane(const modulator_params& params, bistna::rng
     clip_.push_back(0.0);
     rng_.push_back(noise_rng);
     params_.push_back(params);
-    any_noise_ = any_noise_ || params.noise_rms > 0.0;
+    any_noise_ = any_noise_ || params.noisy();
     return state_.size() - 1;
 }
 

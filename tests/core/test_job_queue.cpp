@@ -257,6 +257,7 @@ TEST(JobQueue, DestructionFinishesOutstandingHandles) {
     std::promise<void> gate;
     std::shared_future<void> open(gate.get_future());
     std::atomic<int> started{0};
+    std::thread opener;
     {
         job_queue queue(1);
         handle = queue.submit<int>(32, 1,
@@ -272,13 +273,16 @@ TEST(JobQueue, DestructionFinishesOutstandingHandles) {
         }
         // Let the destructor run against a blocked worker; it requests
         // cancellation, the gate opens, the in-flight item completes and
-        // the rest are skipped.
-        std::thread opener([&] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        // the rest are skipped.  The gate opens only once the request is
+        // observable, so the order holds however the threads are scheduled.
+        opener = std::thread([watched = handle, &gate] {
+            while (!watched.cancel_requested()) {
+                std::this_thread::yield();
+            }
             gate.set_value();
         });
-        opener.detach();
     }
+    opener.join();
     ASSERT_TRUE(handle.finished());
     EXPECT_EQ(handle.state(), job_state::cancelled);
     for (const auto& item : handle.completed()) {

@@ -168,7 +168,7 @@ TEST(BatchEvaluator, HarmonicMeasurementsBitIdenticalToScalarEvaluator) {
     }
     batch_evaluator batch(configs);
     arena scratch;
-    batch.set_shared_resources(nullptr, &scratch, nullptr);
+    batch.set_shared_resources(nullptr, &scratch);
 
     std::vector<std::vector<double>> records;
     std::vector<std::span<const double>> spans;
@@ -274,7 +274,7 @@ TEST(BatchEvaluator, LaneSubsetAcquisitionLeavesOtherLanesUntouched) {
                                              lane_config(3, offset_mode::calibrated)};
     batch_evaluator batch(configs);
     arena scratch;
-    batch.set_shared_resources(nullptr, &scratch, nullptr);
+    batch.set_shared_resources(nullptr, &scratch);
 
     std::vector<std::vector<double>> records;
     for (std::size_t l = 0; l < configs.size(); ++l) {

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <complex>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -20,7 +21,8 @@ namespace {
 
 using namespace bistna;
 using eval::acquisition_settings;
-using eval::calibration_share;
+using eval::calibration_key;
+using eval::calibration_memo;
 using eval::calibration_snapshot;
 using eval::demod_table_cache;
 using eval::demod_tables;
@@ -197,6 +199,21 @@ TEST(LaneKernels, DemodTableCacheReturnsOneTablePerProgram) {
     EXPECT_TRUE(other->matches(settings));
 }
 
+/// Snapshot of `donor` calibrating from its current stream position, the
+/// way batch_evaluator publishes one into the memo.
+std::shared_ptr<const calibration_snapshot> calibrate_snapshot(signature_extractor& donor,
+                                                               std::size_t periods) {
+    auto snapshot = std::make_shared<calibration_snapshot>();
+    snapshot->params = donor.modulator_params();
+    snapshot->rng_before = donor.rng_state();
+    donor.calibrate_offset(periods, kN);
+    snapshot->rng_after = donor.rng_state();
+    snapshot->offset_rate_1 = donor.offset_rate_ch1();
+    snapshot->offset_rate_2 = donor.offset_rate_ch2();
+    snapshot->calibration_samples = donor.calibration_samples();
+    return snapshot;
+}
+
 TEST(LaneKernels, CalibrationTransplantIsBitIdenticalToCalibrating) {
     const auto params = sd::modulator_params::cmos035();
     const std::uint64_t seed = 42;
@@ -207,22 +224,21 @@ TEST(LaneKernels, CalibrationTransplantIsBitIdenticalToCalibrating) {
     reference.calibrate_offset(cal_periods, kN);
 
     // Donor lane calibrates and publishes a snapshot.
+    calibration_memo memo;
     signature_extractor donor(params, seed);
-    calibration_snapshot snapshot;
-    snapshot.params = params;
-    snapshot.rng_before = donor.rng_state();
-    donor.calibrate_offset(cal_periods, kN);
-    snapshot.rng_after = donor.rng_state();
-    snapshot.offset_rate_1 = donor.offset_rate_ch1();
-    snapshot.offset_rate_2 = donor.offset_rate_ch2();
-    snapshot.calibration_samples = donor.calibration_samples();
+    const auto donor_key = calibration_key::of(params, donor.rng_state(), cal_periods, kN);
+    memo.store(donor_key, calibrate_snapshot(donor, cal_periods));
 
-    // Receiver adopts it instead of calibrating.
+    // Receiver looks it up and adopts it instead of calibrating.
     signature_extractor receiver(params, seed);
-    ASSERT_TRUE(receiver.try_restore_calibration(snapshot));
+    const auto snapshot =
+        memo.find(calibration_key::of(params, receiver.rng_state(), cal_periods, kN));
+    ASSERT_NE(snapshot, nullptr);
+    ASSERT_TRUE(receiver.try_restore_calibration(*snapshot));
     EXPECT_TRUE(receiver.offset_calibrated());
     EXPECT_EQ(receiver.offset_rate_ch1(), reference.offset_rate_ch1());
     EXPECT_EQ(receiver.offset_rate_ch2(), reference.offset_rate_ch2());
+    EXPECT_TRUE(receiver.rng_state() == reference.rng_state());
 
     // And the next acquisition is bit-identical to the self-calibrated lane.
     acquisition_settings settings;
@@ -237,38 +253,40 @@ TEST(LaneKernels, CalibrationTransplantIsBitIdenticalToCalibrating) {
     EXPECT_EQ(got.raw_i1, expected.raw_i1);
     EXPECT_EQ(got.raw_i2, expected.raw_i2);
 
-    // Restores are refused on any mismatch: already calibrated, wrong
-    // stream position, or wrong params.
-    EXPECT_FALSE(receiver.try_restore_calibration(snapshot)) << "already calibrated";
+    // Restores of this noisy snapshot are refused on any mismatch: already
+    // calibrated, wrong stream position, or wrong params -- and the memo
+    // never serves it to such a lane in the first place.
+    EXPECT_FALSE(receiver.try_restore_calibration(*snapshot)) << "already calibrated";
     signature_extractor wrong_seed(params, seed + 1);
-    EXPECT_FALSE(wrong_seed.try_restore_calibration(snapshot));
+    EXPECT_FALSE(wrong_seed.try_restore_calibration(*snapshot));
+    EXPECT_EQ(memo.find(calibration_key::of(params, wrong_seed.rng_state(), cal_periods, kN)),
+              nullptr);
     auto other_params = params;
     other_params.input_offset += 1e-3;
     signature_extractor wrong_params(other_params, seed);
-    EXPECT_FALSE(wrong_params.try_restore_calibration(snapshot));
+    EXPECT_FALSE(wrong_params.try_restore_calibration(*snapshot));
+    EXPECT_EQ(memo.find(calibration_key::of(other_params, wrong_params.rng_state(),
+                                            cal_periods, kN)),
+              nullptr);
 }
 
-TEST(LaneKernels, CalibrationShareVerifiesParamsOnLookup) {
-    calibration_share share;
+TEST(LaneKernels, CalibrationMemoVerifiesParamsOnLookup) {
+    calibration_memo memo;
     const auto params = sd::modulator_params::cmos035();
     signature_extractor donor(params, 7);
-    calibration_snapshot snapshot;
-    snapshot.params = params;
-    snapshot.rng_before = donor.rng_state();
-    donor.calibrate_offset(128, kN);
-    snapshot.rng_after = donor.rng_state();
-    snapshot.offset_rate_1 = donor.offset_rate_ch1();
-    snapshot.offset_rate_2 = donor.offset_rate_ch2();
-    snapshot.calibration_samples = donor.calibration_samples();
-    share.store(7, 128, kN, snapshot);
-    EXPECT_EQ(share.entries(), 1u);
+    const bistna::rng origin = donor.rng_state();
+    memo.store(calibration_key::of(params, origin, 128, kN), calibrate_snapshot(donor, 128));
+    EXPECT_EQ(memo.entries(), 1u);
 
-    EXPECT_NE(share.find(params, 7, 128, kN), nullptr);
-    EXPECT_EQ(share.find(params, 8, 128, kN), nullptr) << "different seed";
-    EXPECT_EQ(share.find(params, 7, 256, kN), nullptr) << "different length";
+    EXPECT_NE(memo.find(calibration_key::of(params, origin, 128, kN)), nullptr);
+    EXPECT_EQ(memo.find(calibration_key::of(params, bistna::rng(8), 128, kN)), nullptr)
+        << "different seed";
+    EXPECT_EQ(memo.find(calibration_key::of(params, origin, 256, kN)), nullptr)
+        << "different length";
     auto other = params;
     other.noise_rms += 1e-6;
-    EXPECT_EQ(share.find(other, 7, 128, kN), nullptr) << "different params";
+    EXPECT_EQ(memo.find(calibration_key::of(other, origin, 128, kN)), nullptr)
+        << "different params";
 }
 
 } // namespace
