@@ -182,20 +182,18 @@ private:
                 text_[pos_] == 'e' || text_[pos_] == 'E')) {
             ++pos_;
         }
-        const std::string token(text_.substr(start, pos_ - start));
-        try {
-            std::size_t consumed = 0;
-            json_value v;
-            v.type = json_value::kind::number;
-            v.num = std::stod(token, &consumed);
-            if (consumed != token.size() || token.empty()) {
-                throw std::invalid_argument(token);
-            }
-            return v;
-        } catch (const std::exception&) {
+        // from_chars, not stod: locale-independent, and it parses the
+        // subnormals json_number writes (stod calls them out of range).
+        json_value v;
+        v.type = json_value::kind::number;
+        const char* first = text_.data() + start;
+        const char* last = text_.data() + pos_;
+        const auto [end, ec] = std::from_chars(first, last, v.num);
+        if (first == last || end != last || ec != std::errc()) {
             pos_ = start;
             fail("malformed number");
         }
+        return v;
     }
 
     std::string_view text_;
@@ -215,7 +213,7 @@ std::string json_number(double value) {
     }
     // Integral doubles below 2^53 print as plain integers: "42", not
     // "4.2e1" or "42.0" -- seeds and counts must survive a round trip
-    // through get_u64-style strict readers.  Negative zero is excluded:
+    // through the strict integer rows.  Negative zero is excluded:
     // the integer cast would drop its sign bit.
     if (value == std::floor(value) && std::abs(value) < 9.007199254740992e15 &&
         !(value == 0.0 && std::signbit(value))) {

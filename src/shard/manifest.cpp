@@ -1,11 +1,11 @@
 #include "shard/manifest.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/json_schema.hpp"
 #include "diag/fault_model.hpp"
 #include "dut/filters.hpp"
 #include "gen/generator.hpp"
@@ -15,91 +15,84 @@ namespace bistna::shard {
 
 namespace {
 
-// The strict JSON parser itself lives in common/json.hpp (shared with the
-// telemetry trace tests); this file keeps only the manifest's typed field
-// access on top of it.
+constexpr json_name<workload_kind> workload_names[] = {
+    {workload_kind::screening, "screening"},
+    {workload_kind::dictionary, "dictionary"},
+};
 
-// --- typed field access ----------------------------------------------------
+/// generator / modulator: the ideal model or the realistic 0.35 um draw.
+constexpr json_name<bool> design_names[] = {{true, "ideal"}, {false, "cmos035"}};
 
-[[noreturn]] void field_error(const std::string& key, const std::string& what) {
-    throw configuration_error("manifest field \"" + key + "\": " + what);
-}
-
-double get_number(const json_value& v, const std::string& key) {
-    if (v.type != json_value::kind::number) {
-        field_error(key, "expected a number");
-    }
-    return v.num;
-}
-
-std::uint64_t get_u64(const json_value& v, const std::string& key) {
-    const double num = get_number(v, key);
-    if (!(num >= 0.0) || num != std::floor(num) || num > 9.007199254740992e15) {
-        field_error(key, "expected a non-negative integer below 2^53");
-    }
-    return static_cast<std::uint64_t>(num);
-}
-
-bool get_bool(const json_value& v, const std::string& key) {
-    if (v.type != json_value::kind::boolean) {
-        field_error(key, "expected true/false");
-    }
-    return v.b;
-}
-
-std::string get_string(const json_value& v, const std::string& key) {
-    if (v.type != json_value::kind::string) {
-        field_error(key, "expected a string");
-    }
-    return v.str;
-}
-
-/// Walk an object with a per-key handler; unknown keys are rejected so a
-/// typo in a hand-written manifest fails loudly instead of silently
-/// running the defaults.
-template <typename Handler>
-void walk_object(const json_value& v, const std::string& what, Handler&& handler) {
-    if (v.type != json_value::kind::object) {
-        field_error(what, "expected an object");
-    }
-    for (const auto& [key, value] : v.members) {
-        if (!handler(key, value)) {
-            field_error(what + "." + key, "unknown key");
-        }
-    }
-}
-
-// Number formatting goes through the shared locale-safe writer
-// (bistna::json_number, common/json.hpp): the former ostringstream
-// formatting here emitted "0,03" under a comma-decimal global locale --
-// invalid JSON that the strict parser then rejected on reload.
-
-const char* offset_name(eval::offset_mode mode) {
-    switch (mode) {
-    case eval::offset_mode::none: return "none";
-    case eval::offset_mode::calibrated: return "calibrated";
-    case eval::offset_mode::chopped: return "chopped";
-    }
-    return "calibrated";
-}
-
-eval::offset_mode offset_from_name(const std::string& name) {
-    if (name == "none") {
-        return eval::offset_mode::none;
-    }
-    if (name == "calibrated") {
-        return eval::offset_mode::calibrated;
-    }
-    if (name == "chopped") {
-        return eval::offset_mode::chopped;
-    }
-    field_error("offset", "expected none|calibrated|chopped, got \"" + name + "\"");
-}
+constexpr json_name<eval::offset_mode> offset_names[] = {
+    {eval::offset_mode::none, "none"},
+    {eval::offset_mode::calibrated, "calibrated"},
+    {eval::offset_mode::chopped, "chopped"},
+};
 
 } // namespace
 
 const char* workload_name(workload_kind kind) noexcept {
-    return kind == workload_kind::screening ? "screening" : "dictionary";
+    return json_name_of(workload_names, kind).data();
+}
+
+const json_schema<lot_manifest>& lot_manifest::schema() {
+    static const json_schema<lot_manifest> schema = [] {
+        json_schema<core::gain_limit> limit("limit");
+        limit.add("f_hz", &core::gain_limit::f_hz)
+            .add("gain_db_min", &core::gain_limit::gain_db_min)
+            .add("gain_db_max", &core::gain_limit::gain_db_max)
+            .add("name", &core::gain_limit::name);
+
+        json_schema<lot_manifest> dictionary("dictionary");
+        dictionary.add("grid_points", &lot_manifest::grid_points, 1)
+            .add("thd_max_harmonic", &lot_manifest::thd_max_harmonic)
+            .add("nominal_seed", &lot_manifest::nominal_seed)
+            .add("eval_seed_base", &lot_manifest::eval_seed_base);
+
+        json_schema<lot_manifest> engine("engine");
+        engine.add("threads", &lot_manifest::threads).add("lanes", &lot_manifest::batch_lanes);
+
+        json_schema<lot_manifest> m("manifest");
+        m.add("workload", &lot_manifest::workload, workload_names)
+            .add("sigma", &lot_manifest::sigma, 0.0)
+            .add("amplitude_mv", &lot_manifest::amplitude_mv)
+            .add("generator", &lot_manifest::ideal_generator, design_names)
+            .add("modulator", &lot_manifest::ideal_modulator, design_names)
+            .add("offset", &lot_manifest::offset, offset_names)
+            .add("evaluator_seed", &lot_manifest::evaluator_seed)
+            .add("periods", &lot_manifest::periods, 1)
+            .add("settle_periods", &lot_manifest::settle_periods)
+            .add("distortion_periods", &lot_manifest::distortion_periods)
+            .add("calibration_periods", &lot_manifest::calibration_periods)
+            .add("limits", &lot_manifest::custom_limits, limit)
+            .add("stimulus_volts_nominal", &lot_manifest::stimulus_volts_nominal)
+            .add("stimulus_tolerance", &lot_manifest::stimulus_tolerance)
+            .add("measure_distortion", &lot_manifest::measure_distortion)
+            .add("continue_after_self_test_failure",
+                 &lot_manifest::continue_after_self_test_failure)
+            .add("distortion_max_harmonic", &lot_manifest::distortion_max_harmonic)
+            .add("distortion_f_hz", &lot_manifest::distortion_f_hz)
+            .add("dice", &lot_manifest::dice)
+            .add("first_seed", &lot_manifest::first_seed)
+            .add("dictionary", dictionary)
+            .add("engine", engine)
+            // Settings that only matter in combination: a lot that would
+            // die on an engine precondition in every worker is refused here.
+            .check([](const lot_manifest& lot, const json_where& where) {
+                if (lot.measure_distortion && lot.distortion_periods == 0) {
+                    where.at("distortion_periods").fail("must be >= 1 with measure_distortion");
+                }
+                if (lot.measure_distortion && lot.distortion_max_harmonic < 2) {
+                    where.at("distortion_max_harmonic")
+                        .fail("must be >= 2 with measure_distortion");
+                }
+                if (lot.offset == eval::offset_mode::calibrated && lot.calibration_periods == 0) {
+                    where.at("calibration_periods").fail("must be >= 1 with offset calibrated");
+                }
+            });
+        return m;
+    }();
+    return schema;
 }
 
 std::uint64_t lot_manifest::total_units() const {
@@ -175,55 +168,7 @@ core::sweep_engine_options lot_manifest::make_engine_options() const {
     return options;
 }
 
-std::string lot_manifest::to_json() const {
-    std::ostringstream out;
-    out << "{\n"
-        << "  \"workload\": \"" << workload_name(workload) << "\",\n"
-        << "  \"sigma\": " << json_number(sigma) << ",\n"
-        << "  \"amplitude_mv\": " << json_number(amplitude_mv) << ",\n"
-        << "  \"generator\": \"" << (ideal_generator ? "ideal" : "cmos035") << "\",\n"
-        << "  \"modulator\": \"" << (ideal_modulator ? "ideal" : "cmos035") << "\",\n"
-        << "  \"offset\": \"" << offset_name(offset) << "\",\n"
-        << "  \"evaluator_seed\": " << evaluator_seed << ",\n"
-        << "  \"periods\": " << periods << ",\n"
-        << "  \"settle_periods\": " << settle_periods << ",\n"
-        << "  \"distortion_periods\": " << distortion_periods << ",\n"
-        << "  \"calibration_periods\": " << calibration_periods << ",\n";
-    if (!custom_limits.empty()) {
-        out << "  \"limits\": [";
-        for (std::size_t i = 0; i < custom_limits.size(); ++i) {
-            const auto& limit = custom_limits[i];
-            out << (i == 0 ? "" : ", ") << "{\"f_hz\": " << json_number(limit.f_hz)
-                << ", \"gain_db_min\": " << json_number(limit.gain_db_min)
-                << ", \"gain_db_max\": " << json_number(limit.gain_db_max)
-                << ", \"name\": \"" << json_escape(limit.name) << "\"}";
-        }
-        out << "],\n";
-    }
-    if (stimulus_volts_nominal) {
-        out << "  \"stimulus_volts_nominal\": " << json_number(*stimulus_volts_nominal)
-            << ",\n";
-    }
-    if (stimulus_tolerance) {
-        out << "  \"stimulus_tolerance\": " << json_number(*stimulus_tolerance) << ",\n";
-    }
-    out << "  \"measure_distortion\": " << (measure_distortion ? "true" : "false")
-        << ",\n"
-        << "  \"continue_after_self_test_failure\": "
-        << (continue_after_self_test_failure ? "true" : "false") << ",\n"
-        << "  \"distortion_max_harmonic\": " << distortion_max_harmonic << ",\n"
-        << "  \"distortion_f_hz\": " << json_number(distortion_f_hz) << ",\n"
-        << "  \"dice\": " << dice << ",\n"
-        << "  \"first_seed\": " << first_seed << ",\n"
-        << "  \"dictionary\": {\"grid_points\": " << grid_points
-        << ", \"thd_max_harmonic\": " << thd_max_harmonic
-        << ", \"nominal_seed\": " << nominal_seed
-        << ", \"eval_seed_base\": " << eval_seed_base << "},\n"
-        << "  \"engine\": {\"threads\": " << threads << ", \"lanes\": " << batch_lanes
-        << "}\n"
-        << "}\n";
-    return out.str();
-}
+std::string lot_manifest::to_json() const { return bistna::to_json(schema().write(*this)); }
 
 lot_manifest lot_manifest::from_json(std::string_view text) {
     return from_value(parse_json(text, "manifest JSON"));
@@ -231,114 +176,7 @@ lot_manifest lot_manifest::from_json(std::string_view text) {
 
 lot_manifest lot_manifest::from_value(const json_value& root) {
     lot_manifest manifest;
-
-    walk_object(root, "manifest", [&](const std::string& key, const json_value& v) {
-        if (key == "workload") {
-            const std::string name = get_string(v, key);
-            if (name == "screening") {
-                manifest.workload = workload_kind::screening;
-            } else if (name == "dictionary") {
-                manifest.workload = workload_kind::dictionary;
-            } else {
-                field_error(key, "expected screening|dictionary, got \"" + name + "\"");
-            }
-        } else if (key == "sigma") {
-            manifest.sigma = get_number(v, key);
-        } else if (key == "amplitude_mv") {
-            manifest.amplitude_mv = get_number(v, key);
-        } else if (key == "generator" || key == "modulator") {
-            const std::string name = get_string(v, key);
-            if (name != "ideal" && name != "cmos035") {
-                field_error(key, "expected ideal|cmos035, got \"" + name + "\"");
-            }
-            (key == "generator" ? manifest.ideal_generator : manifest.ideal_modulator) =
-                name == "ideal";
-        } else if (key == "offset") {
-            manifest.offset = offset_from_name(get_string(v, key));
-        } else if (key == "evaluator_seed") {
-            manifest.evaluator_seed = get_u64(v, key);
-        } else if (key == "periods") {
-            manifest.periods = get_u64(v, key);
-        } else if (key == "settle_periods") {
-            manifest.settle_periods = get_u64(v, key);
-        } else if (key == "distortion_periods") {
-            manifest.distortion_periods = get_u64(v, key);
-        } else if (key == "calibration_periods") {
-            manifest.calibration_periods = get_u64(v, key);
-        } else if (key == "limits") {
-            if (v.type != json_value::kind::array) {
-                field_error(key, "expected an array");
-            }
-            for (const auto& element : v.elements) {
-                core::gain_limit limit;
-                walk_object(element, "limits[]",
-                            [&](const std::string& k, const json_value& field) {
-                                if (k == "f_hz") {
-                                    limit.f_hz = get_number(field, k);
-                                } else if (k == "gain_db_min") {
-                                    limit.gain_db_min = get_number(field, k);
-                                } else if (k == "gain_db_max") {
-                                    limit.gain_db_max = get_number(field, k);
-                                } else if (k == "name") {
-                                    limit.name = get_string(field, k);
-                                } else {
-                                    return false;
-                                }
-                                return true;
-                            });
-                manifest.custom_limits.push_back(std::move(limit));
-            }
-        } else if (key == "stimulus_volts_nominal") {
-            manifest.stimulus_volts_nominal = get_number(v, key);
-        } else if (key == "stimulus_tolerance") {
-            manifest.stimulus_tolerance = get_number(v, key);
-        } else if (key == "measure_distortion") {
-            manifest.measure_distortion = get_bool(v, key);
-        } else if (key == "continue_after_self_test_failure") {
-            manifest.continue_after_self_test_failure = get_bool(v, key);
-        } else if (key == "distortion_max_harmonic") {
-            manifest.distortion_max_harmonic = get_u64(v, key);
-        } else if (key == "distortion_f_hz") {
-            manifest.distortion_f_hz = get_number(v, key);
-        } else if (key == "dice") {
-            manifest.dice = get_u64(v, key);
-        } else if (key == "first_seed") {
-            manifest.first_seed = get_u64(v, key);
-        } else if (key == "dictionary") {
-            walk_object(v, key, [&](const std::string& k, const json_value& field) {
-                if (k == "grid_points") {
-                    manifest.grid_points = get_u64(field, k);
-                } else if (k == "thd_max_harmonic") {
-                    manifest.thd_max_harmonic = get_u64(field, k);
-                } else if (k == "nominal_seed") {
-                    manifest.nominal_seed = get_u64(field, k);
-                } else if (k == "eval_seed_base") {
-                    manifest.eval_seed_base = get_u64(field, k);
-                } else {
-                    return false;
-                }
-                return true;
-            });
-        } else if (key == "engine") {
-            walk_object(v, key, [&](const std::string& k, const json_value& field) {
-                if (k == "threads") {
-                    manifest.threads = get_u64(field, k);
-                } else if (k == "lanes") {
-                    manifest.batch_lanes = get_u64(field, k);
-                } else {
-                    return false;
-                }
-                return true;
-            });
-        } else {
-            return false;
-        }
-        return true;
-    });
-
-    if (manifest.grid_points == 0) {
-        field_error("dictionary.grid_points", "must be >= 1");
-    }
+    schema().read(root, manifest);
     return manifest;
 }
 
@@ -357,7 +195,7 @@ void lot_manifest::save(const std::string& path) const {
     if (!out) {
         throw configuration_error("cannot write manifest '" + path + "'");
     }
-    out << to_json();
+    out << to_json() << '\n';
     if (!out.flush()) {
         throw configuration_error("failed writing manifest '" + path + "'");
     }

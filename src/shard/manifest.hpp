@@ -27,6 +27,10 @@
 #include "core/sweep_engine.hpp"
 #include "diag/fault_model.hpp"
 
+namespace bistna {
+template <class T> class json_schema; // common/json_schema.hpp
+} // namespace bistna
+
 namespace bistna::shard {
 
 enum class workload_kind { screening, dictionary };
@@ -96,14 +100,15 @@ struct lot_manifest {
     core::sweep_engine_options make_engine_options() const;
 
     // --- serialization ----------------------------------------------------
+    /// The one JSON schema the reader, the writer and the README field
+    /// list derive from, cross-field rules included.
+    static const json_schema<lot_manifest>& schema();
+    /// Compact JSON, keys in schema order.
     std::string to_json() const;
     /// Strict parse: malformed JSON, unknown keys and out-of-domain values
-    /// all throw configuration_error naming the problem.
+    /// all throw configuration_error naming the dotted key path.
     static lot_manifest from_json(std::string_view text);
-    /// The same strict schema applied to an already-parsed tree -- the
-    /// service daemon hands the "manifest" member of a submit frame
-    /// straight to this, so an offline shard lot and a submitted service
-    /// job are parsed by the identical code (one schema, by construction).
+    /// The same strict schema applied to an already-parsed tree.
     static lot_manifest from_value(const json_value& root);
 
     static lot_manifest load(const std::string& path);

@@ -60,10 +60,7 @@ std::optional<store::record> client::read_frame() {
 }
 
 void client::submit(std::uint64_t request, const shard::lot_manifest& manifest) {
-    submit_frame f;
-    f.request = request;
-    f.manifest = manifest;
-    send_record(encode(f));
+    send_record(encode(submit_frame{request, manifest}));
     next_request_ = std::max(next_request_, request + 1);
 }
 

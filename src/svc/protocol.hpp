@@ -9,8 +9,8 @@
 // types are the svc_* values of store::record_type, so the service's
 // control records and the store's data records share one numbering space
 // and one decoder.  Control payloads (hello/submit/progress/error/cancel/
-// done) are strict JSON written by the common/json writer and parsed by
-// the same strict parser the lot manifest uses; result payloads are
+// done) are strict JSON read and written through one schema table per
+// frame, the submit frame nesting the lot manifest's own; result payloads are
 // binary -- they wrap the exact data record the offline store path would
 // have appended, so a client writing received records to a lot_store
 // reproduces the offline file byte for byte.
@@ -65,24 +65,34 @@ const char* error_code_name(error_code code) noexcept;
 error_code error_code_from_name(std::string_view name);
 
 // --- control frames (strict JSON payloads) ---------------------------------
+// Each declares its record type and JSON schema: every key required but
+// error.offset, no unknown keys, integers range-checked to their type.
 
 struct hello_frame {
+    static constexpr store::record_type type = store::record_type::svc_hello;
+    static const json_schema<hello_frame>& schema();
     std::uint32_t protocol = protocol_version;
     std::string server = "bistna_serverd";
 };
 
 struct submit_frame {
+    static constexpr store::record_type type = store::record_type::svc_submit;
+    static const json_schema<submit_frame>& schema(); ///< nests lot_manifest's
     std::uint64_t request = 0; ///< client-assigned id, nonzero, session-unique
     shard::lot_manifest manifest;
 };
 
 struct progress_frame {
+    static constexpr store::record_type type = store::record_type::svc_progress;
+    static const json_schema<progress_frame>& schema();
     std::uint64_t request = 0;
     std::uint64_t completed = 0; ///< units computed so far (0 = just admitted)
     std::uint64_t total = 0;
 };
 
 struct error_frame {
+    static constexpr store::record_type type = store::record_type::svc_error;
+    static const json_schema<error_frame>& schema();
     std::uint64_t request = 0; ///< 0 = session-scope
     error_code code = error_code::internal;
     std::string message;
@@ -91,10 +101,14 @@ struct error_frame {
 };
 
 struct cancel_frame {
+    static constexpr store::record_type type = store::record_type::svc_cancel;
+    static const json_schema<cancel_frame>& schema();
     std::uint64_t request = 0;
 };
 
 struct done_frame {
+    static constexpr store::record_type type = store::record_type::svc_done;
+    static const json_schema<done_frame>& schema();
     std::uint64_t request = 0;
     std::uint64_t units = 0; ///< results streamed (== manifest units)
 };

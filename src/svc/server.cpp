@@ -400,12 +400,8 @@ struct service_server::impl {
                 // verdict).  CRC-valid-but-malformed payloads never land
                 // here -- handle_frame answers those per request.
                 cancel_requests(s);
-                error_frame f;
-                f.request = 0;
-                f.code = error_code::bad_frame;
-                f.message = e.what();
-                f.offset = e.byte_offset();
-                enqueue(s, encode(f));
+                enqueue(s,
+                        encode(error_frame{0, error_code::bad_frame, e.what(), e.byte_offset()}));
                 s.input_dead = true;
                 s.close_after_flush = true;
                 return;
@@ -421,28 +417,23 @@ struct service_server::impl {
         case store::record_type::svc_cancel:
             handle_cancel(s, r);
             return;
-        default: {
-            error_frame f;
-            f.request = 0;
-            f.code = error_code::bad_request;
-            f.message = "unexpected frame type " +
-                        std::to_string(static_cast<unsigned>(r.type)) +
-                        " (clients send submit/cancel only)";
-            enqueue(s, encode(f));
+        default:
+            send_error(s, 0, error_code::bad_request,
+                       "unexpected frame type " + std::to_string(static_cast<unsigned>(r.type)) +
+                           " (clients send submit/cancel only)");
             return;
         }
-        }
+    }
+
+    void send_error(session& s, std::uint64_t request, error_code code, std::string message) {
+        enqueue(s, encode(error_frame{request, code, std::move(message), std::nullopt}));
     }
 
     void reject(session& s, std::uint64_t request, error_code code,
                 std::string message) {
         c_rejected.fetch_add(1, std::memory_order_relaxed);
         telemetry::counter_add(metrics().jobs_rejected);
-        error_frame f;
-        f.request = request;
-        f.code = code;
-        f.message = std::move(message);
-        enqueue(s, encode(f));
+        send_error(s, request, code, std::move(message));
     }
 
     void handle_submit(session& s, const store::record& r) {
@@ -513,11 +504,8 @@ struct service_server::impl {
                 --total_pending;
                 c_cancelled.fetch_add(1, std::memory_order_relaxed);
                 telemetry::counter_add(metrics().jobs_cancelled);
-                error_frame e;
-                e.request = f.request;
-                e.code = error_code::cancelled;
-                e.message = "request cancelled before dispatch";
-                enqueue(s, encode(e));
+                send_error(s, f.request, error_code::cancelled,
+                           "request cancelled before dispatch");
                 return;
             }
         }
@@ -569,11 +557,7 @@ struct service_server::impl {
         } catch (const std::exception& e) {
             c_failed.fetch_add(1, std::memory_order_relaxed);
             telemetry::counter_add(metrics().jobs_failed);
-            error_frame f;
-            f.request = req.id;
-            f.code = error_code::internal;
-            f.message = e.what();
-            enqueue(s, encode(f));
+            send_error(s, req.id, error_code::internal, e.what());
             return;
         }
         ++active_jobs;
@@ -655,20 +639,13 @@ struct service_server::impl {
                 message = e.what();
             } catch (...) {
             }
-            error_frame f;
-            f.request = a.id;
-            f.code = error_code::internal;
-            f.message = std::move(message);
-            enqueue(s, encode(f));
+            send_error(s, a.id, error_code::internal, std::move(message));
         } else {
             c_cancelled.fetch_add(1, std::memory_order_relaxed);
             telemetry::counter_add(metrics().jobs_cancelled);
-            error_frame f;
-            f.request = a.id;
-            f.code = error_code::cancelled;
-            f.message = "request cancelled after " + std::to_string(a.sent) + " of " +
-                        std::to_string(a.total) + " units";
-            enqueue(s, encode(f));
+            send_error(s, a.id, error_code::cancelled,
+                       "request cancelled after " + std::to_string(a.sent) + " of " +
+                           std::to_string(a.total) + " units");
         }
         a.stream.reset(); // finished -> the destructor cannot block
     }
@@ -699,12 +676,8 @@ struct service_server::impl {
             if (opts.idle_timeout_ms != 0 && s.pending.empty() && s.active.empty() &&
                 s.queued_bytes == 0 &&
                 now - s.last_activity_ns >= opts.idle_timeout_ms * 1000000) {
-                error_frame f;
-                f.request = 0;
-                f.code = error_code::idle_timeout;
-                f.message = "session idle for " + std::to_string(opts.idle_timeout_ms) +
-                            " ms";
-                enqueue(s, encode(f));
+                send_error(s, 0, error_code::idle_timeout,
+                           "session idle for " + std::to_string(opts.idle_timeout_ms) + " ms");
                 s.input_dead = true;
                 s.close_after_flush = true;
             }
@@ -727,13 +700,10 @@ struct service_server::impl {
             s.queued_bytes = 0;
         }
         s.stall_since_ns = 0;
-        error_frame f;
-        f.request = 0;
-        f.code = error_code::slow_reader;
-        f.message = "session shed: send queue stalled at " +
-                    std::to_string(opts.send_queue_limit) + " bytes for " +
-                    std::to_string(opts.stall_timeout_ms) + " ms";
-        enqueue(s, encode(f));
+        send_error(s, 0, error_code::slow_reader,
+                   "session shed: send queue stalled at " +
+                       std::to_string(opts.send_queue_limit) + " bytes for " +
+                       std::to_string(opts.stall_timeout_ms) + " ms");
         s.input_dead = true;
         s.close_after_flush = true;
         c_shed.fetch_add(1, std::memory_order_relaxed);
@@ -786,11 +756,7 @@ struct service_server::impl {
                 continue;
             }
             cancel_requests(s);
-            error_frame f;
-            f.request = 0;
-            f.code = error_code::shutdown;
-            f.message = "server stopping";
-            enqueue(s, encode(f));
+            send_error(s, 0, error_code::shutdown, "server stopping");
             // Best effort: one synchronous flush attempt; whatever the
             // kernel will not take right now is dropped with the socket.
             write_session(s);

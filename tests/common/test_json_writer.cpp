@@ -166,6 +166,16 @@ TEST(JsonWriter, NegativeZeroSurvives) {
     EXPECT_FALSE(json_equal(number(0.0), number(-0.0)));
 }
 
+TEST(JsonWriter, SubnormalNumbersRoundTrip) {
+    for (const double v : {std::numeric_limits<double>::denorm_min(), -1.5e-310,
+                           std::numeric_limits<double>::min() / 2}) {
+        const json_value back = parse_json(to_json(number(v)), "subnormal");
+        EXPECT_TRUE(json_equal(back, number(v))) << json_number(v);
+    }
+    EXPECT_THROW(parse_json("1e-400"), configuration_error); // underflows to 0
+    EXPECT_THROW(parse_json("1e999"), configuration_error);
+}
+
 // --- locale independence ---------------------------------------------------
 
 class comma_numpunct : public std::numpunct<char> {

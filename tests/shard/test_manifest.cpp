@@ -100,6 +100,35 @@ TEST(ShardManifest, RejectsMalformedJson) {
                  configuration_error);
     EXPECT_THROW((void)shard::lot_manifest::from_json("{\"dice\": 1.5}"),
                  configuration_error);
+    // One integer bound: 2^53 and anything that would round to it.
+    EXPECT_THROW((void)shard::lot_manifest::from_json("{\"dice\": 9007199254740992}"),
+                 configuration_error);
+    EXPECT_THROW((void)shard::lot_manifest::from_json("{\"dice\": 9007199254740993}"),
+                 configuration_error);
+    // Out-of-domain values fail here, not on an engine precondition in
+    // every worker attempt.
+    for (const char* json :
+         {"{\"periods\": 0}", "{\"sigma\": -1}", "{\"calibration_periods\": 0}",
+          "{\"dictionary\": {\"grid_points\": 0}}",
+          "{\"measure_distortion\": true, \"distortion_periods\": 0}",
+          "{\"measure_distortion\": true, \"distortion_max_harmonic\": 0}"}) {
+        EXPECT_THROW((void)shard::lot_manifest::from_json(json), configuration_error) << json;
+    }
+}
+
+// The domain checks reject nothing that runs: each of these lots runs to
+// completion, so each must parse.
+TEST(ShardManifest, AcceptsEveryValueThatRuns) {
+    for (const char* json :
+         {"{\"engine\": {\"threads\": 0, \"lanes\": 0}}", "{\"sigma\": 0}",
+          "{\"amplitude_mv\": -150}", "{\"dictionary\": {\"thd_max_harmonic\": 0}}",
+          "{\"dictionary\": {\"thd_max_harmonic\": 1}}",
+          "{\"offset\": \"none\", \"calibration_periods\": 0}",
+          "{\"offset\": \"chopped\", \"calibration_periods\": 0}",
+          "{\"measure_distortion\": false, \"distortion_periods\": 0, "
+          "\"distortion_max_harmonic\": 0}"}) {
+        EXPECT_NO_THROW((void)shard::lot_manifest::from_json(json)) << json;
+    }
 }
 
 TEST(ShardManifest, RejectsUnknownAndDuplicateKeys) {

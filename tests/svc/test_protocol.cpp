@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -147,6 +148,131 @@ TEST(SvcProtocol, MalformedControlPayloadsThrow) {
     r.type = store::record_type::svc_done;
     r.payload.assign(huge.begin(), huge.end());
     EXPECT_THROW(svc::decode_done(r), configuration_error);
+
+    // The protocol version is a u32: 2^32 + 1 must not narrow to v1.
+    const std::string wide = "{\"protocol\":4294967297,\"server\":\"x\"}";
+    r.type = store::record_type::svc_hello;
+    r.payload.assign(wide.begin(), wide.end());
+    EXPECT_THROW(svc::decode_hello(r), configuration_error);
+
+    // Control frames are as strict about keys as manifests.
+    const std::string extra = "{\"request\":1,\"extra\":2}";
+    r.type = store::record_type::svc_cancel;
+    r.payload.assign(extra.begin(), extra.end());
+    EXPECT_THROW(svc::decode_cancel(r), configuration_error);
+}
+
+// The wire bytes of every control frame, pinned literally: a schema table
+// that reorders, renames or reformats a key moves these and fails here.
+std::vector<std::uint8_t> frame_of(const char* header_hex, std::string_view payload,
+                                   const char* crc_hex) {
+    std::vector<std::uint8_t> bytes;
+    const auto append_hex = [&](std::string_view hex) {
+        for (std::size_t i = 0; i < hex.size(); i += 2) {
+            bytes.push_back(static_cast<std::uint8_t>(
+                std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+        }
+    };
+    append_hex(header_hex);
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+    append_hex(crc_hex);
+    return bytes;
+}
+
+TEST(SvcProtocol, ControlFrameWireBytesArePinned) {
+    EXPECT_EQ(svc::wire_bytes(svc::encode(svc::hello_frame{})),
+              frame_of("0700000028000000", R"({"protocol":1,"server":"bistna_serverd"})",
+                       "c1c39611"));
+
+    svc::submit_frame submit;
+    submit.request = 42;
+    EXPECT_EQ(
+        svc::wire_bytes(svc::encode(submit)),
+        frame_of(
+            "0800000009020000",
+            R"({"request":42,"manifest":{"workload":"screening","sigma":0.03,"amplitude_mv":150,)"
+            R"("generator":"ideal","modulator":"ideal","offset":"calibrated","evaluator_seed":42,)"
+            R"("periods":200,"settle_periods":32,"distortion_periods":400,)"
+            R"("calibration_periods":4096,"measure_distortion":false,)"
+            R"("continue_after_self_test_failure":false,"distortion_max_harmonic":3,)"
+            R"("distortion_f_hz":0,"dice":64,"first_seed":1,"dictionary":{"grid_points":9,)"
+            R"("thd_max_harmonic":3,"nominal_seed":1,"eval_seed_base":3517341421},)"
+            R"("engine":{"threads":1,"lanes":8}}})",
+            "d95b407f"));
+
+    submit.manifest = sample_manifest();
+    EXPECT_EQ(
+        svc::wire_bytes(svc::encode(submit)),
+        frame_of(
+            "080000000b020000",
+            R"({"request":42,"manifest":{"workload":"screening","sigma":0.025,"amplitude_mv":150,)"
+            R"("generator":"ideal","modulator":"ideal","offset":"calibrated","evaluator_seed":42,)"
+            R"("periods":200,"settle_periods":32,"distortion_periods":400,)"
+            R"("calibration_periods":4096,"measure_distortion":true,)"
+            R"("continue_after_self_test_failure":false,"distortion_max_harmonic":3,)"
+            R"("distortion_f_hz":0,"dice":24,"first_seed":101,"dictionary":{"grid_points":9,)"
+            R"("thd_max_harmonic":3,"nominal_seed":1,"eval_seed_base":3517341421},)"
+            R"("engine":{"threads":1,"lanes":4}}})",
+            "37a61635"));
+
+    // Every optional manifest row present: limits (with an escaped name)
+    // and both stimulus overrides.
+    submit.request = 7;
+    submit.manifest = shard::lot_manifest{};
+    submit.manifest.workload = shard::workload_kind::dictionary;
+    submit.manifest.sigma = 0.05;
+    submit.manifest.amplitude_mv = -120.5;
+    submit.manifest.ideal_generator = false;
+    submit.manifest.ideal_modulator = false;
+    submit.manifest.offset = eval::offset_mode::chopped;
+    submit.manifest.custom_limits = {core::gain_limit{1000.0, -2.25, 0.5, "pass \"band\""},
+                                     core::gain_limit{3000.0, -60.0, -20.0, "stop"}};
+    submit.manifest.stimulus_volts_nominal = 0.31;
+    submit.manifest.stimulus_tolerance = 0.07;
+    submit.manifest.grid_points = 5;
+    submit.manifest.eval_seed_base = 0xABCDEF;
+    EXPECT_EQ(
+        svc::wire_bytes(svc::encode(submit)),
+        frame_of(
+            "08000000d9020000",
+            R"({"request":7,"manifest":{"workload":"dictionary","sigma":0.05,)"
+            R"("amplitude_mv":-120.5,"generator":"cmos035","modulator":"cmos035",)"
+            R"("offset":"chopped","evaluator_seed":42,"periods":200,"settle_periods":32,)"
+            R"("distortion_periods":400,"calibration_periods":4096,)"
+            R"("limits":[{"f_hz":1000,"gain_db_min":-2.25,"gain_db_max":0.5,)"
+            R"("name":"pass \"band\""},{"f_hz":3000,"gain_db_min":-60,"gain_db_max":-20,)"
+            R"("name":"stop"}],"stimulus_volts_nominal":0.31,"stimulus_tolerance":0.07,)"
+            R"("measure_distortion":false,"continue_after_self_test_failure":false,)"
+            R"("distortion_max_harmonic":3,"distortion_f_hz":0,"dice":64,"first_seed":1,)"
+            R"("dictionary":{"grid_points":5,"thd_max_harmonic":3,"nominal_seed":1,)"
+            R"("eval_seed_base":11259375},"engine":{"threads":1,"lanes":8}}})",
+            "e4194b1c"));
+
+    EXPECT_EQ(svc::wire_bytes(svc::encode(svc::progress_frame{9, 128, 512})),
+              frame_of("0900000029000000", R"({"request":9,"completed":128,"total":512})",
+                       "84d3b67a"));
+
+    svc::error_frame error;
+    error.request = 3;
+    error.code = svc::error_code::slow_reader;
+    error.message = "send queue stalled";
+    error.offset = 12345;
+    EXPECT_EQ(svc::wire_bytes(svc::encode(error)),
+              frame_of("0b00000050000000",
+                       R"({"request":3,"code":"slow_reader","message":"send queue stalled",)"
+                       R"("offset":12345})",
+                       "6fd07755"));
+    svc::error_frame no_offset;
+    no_offset.code = svc::error_code::overloaded;
+    no_offset.message = "full";
+    EXPECT_EQ(svc::wire_bytes(svc::encode(no_offset)),
+              frame_of("0b00000032000000",
+                       R"({"request":0,"code":"overloaded","message":"full"})", "379967bb"));
+
+    EXPECT_EQ(svc::wire_bytes(svc::encode(svc::cancel_frame{77})),
+              frame_of("0c0000000e000000", R"({"request":77})", "ed3ce606"));
+    EXPECT_EQ(svc::wire_bytes(svc::encode(svc::done_frame{5, 64})),
+              frame_of("0d00000018000000", R"({"request":5,"units":64})", "1aec4e99"));
 }
 
 TEST(SvcProtocol, TruncatedResultPayloadThrows) {

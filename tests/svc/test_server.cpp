@@ -345,6 +345,41 @@ TEST(SvcServer, MalformedSubmitGetsBadRequestAndSessionSurvives) {
     EXPECT_EQ(server.counters().sessions_shed, 0u);
 }
 
+// A manifest the engine cannot run is a bad request at submit: it is never
+// admitted, so no worker ever hits the engine precondition it would break.
+TEST(SvcServer, OutOfDomainManifestIsRejectedBeforeAdmission) {
+    const std::string path = socket_path("baddomain");
+    service_server server(fast_options(path));
+    server.start();
+
+    client c(path);
+    shard::lot_manifest bad = fast_manifest(4);
+    bad.periods = 0;
+    c.submit(1, bad);
+    auto e = c.next_event();
+    ASSERT_TRUE(e.has_value());
+    ASSERT_EQ(e->type, client::event::kind::error);
+    EXPECT_EQ(e->error.code, error_code::bad_request);
+    EXPECT_NE(e->error.message.find("manifest.periods"), std::string::npos)
+        << e->error.message;
+    EXPECT_EQ(server.counters().jobs_admitted, 0u);
+
+    bad = fast_manifest(4);
+    bad.measure_distortion = true;
+    bad.distortion_max_harmonic = 1;
+    c.submit(2, bad);
+    e = c.next_event();
+    ASSERT_TRUE(e.has_value());
+    ASSERT_EQ(e->type, client::event::kind::error);
+    EXPECT_EQ(e->error.code, error_code::bad_request);
+    EXPECT_EQ(server.counters().jobs_admitted, 0u);
+
+    // The session survives and still runs a good lot.
+    EXPECT_EQ(c.run(fast_manifest(2)).size(), 2u);
+    server.stop();
+    EXPECT_EQ(server.counters().jobs_admitted, 1u);
+}
+
 TEST(SvcServer, DuplicateRequestIdIsRejected) {
     const std::string path = socket_path("dupid");
     service_server server(fast_options(path));
