@@ -92,5 +92,5 @@ int main() {
         "quantification of why the paper's offset-cancellation arithmetic is\n"
         "mandatory, after which only the bounded part remains.\n"
         "CSV: ablation_error_bounds.csv");
-    return 0;
+    return bench::verdict_exit_code();
 }

@@ -69,5 +69,5 @@ int main() {
         "WORSE.  This is exactly why the paper derives both f_wave and the\n"
         "modulator clock from one master clock (\"the oversampling ratio\n"
         "keeps constant when sweeping the master clock\").  CSV: ablation_sync.csv");
-    return 0;
+    return bench::verdict_exit_code();
 }

@@ -82,5 +82,5 @@ int main() {
         "dynamic range: M = 200 resolves ~-55 dB, M = 20000 resolves below\n"
         "-80 dB.  The band-pass analyzer is stuck near -40 dB regardless --\n"
         "the comparison that motivates the paper.  CSV: dynamic_range.csv");
-    return 0;
+    return bench::verdict_exit_code();
 }

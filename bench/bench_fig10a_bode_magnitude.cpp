@@ -59,5 +59,5 @@ int main() {
               << " dB -- \"the relative error increases as the response magnitude\n"
                  "  decreases\" (paper), recoverable by increasing M.\n";
     bench::footnote("Sweep written to fig10a_bode_magnitude.csv.");
-    return 0;
+    return bench::verdict_exit_code();
 }

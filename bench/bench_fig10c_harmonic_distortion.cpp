@@ -86,5 +86,5 @@ int main() {
                     "reports; increasing M sharpens the BIST bounds further\n"
                     "(\"if a better precision is needed, it can be achieved just by\n"
                     "increasing this number\").  CSV: fig10c_distortion.csv");
-    return 0;
+    return bench::verdict_exit_code();
 }

@@ -77,5 +77,5 @@ int main() {
         "the second and third harmonics sit 20 and 40 dB below A1, and the\n"
         "evaluator itself never limits the analyzer's dynamic range --\n"
         "accuracy is bought with evaluation time (M).");
-    return 0;
+    return bench::verdict_exit_code();
 }

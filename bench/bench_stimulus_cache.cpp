@@ -1,9 +1,11 @@
 // Stimulus-record cache: wall-clock gain and bit-identity gate.
 //
 // The system is clock-normalized, so the generator staircase a Bode sweep
-// renders is identical at every frequency point -- the cache renders it
-// once per batch instead of once per point.  This bench runs the same
-// >= 16-point parallel Bode sweep with the cache enabled and disabled:
+// renders is identical at every frequency point -- the process-wide cache
+// renders it once instead of once per point.  This bench runs the same
+// >= 16-point parallel Bode sweep on the lane path (batch_lanes = 8) with
+// share_stimulus off and on, clearing the process cache before every
+// cached run so each one measures reuse within the sweep:
 //
 //   * with the realistic generator (0.35 um process draw + folded-cascode
 //     op-amp noise, the paper's demonstrator) it gates a >= 1.5x wall-clock
@@ -13,7 +15,9 @@
 //     uncached frequency_point results are bit-identical (they are under
 //     the realistic generator too, because a fresh generator re-seeds its
 //     noise streams deterministically per render -- both configs are
-//     checked).
+//     checked);
+//   * a fresh engine per request -- the daemon's shape -- must render the
+//     staircase once for the whole run, not once per engine.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -21,6 +25,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/stimulus_cache.hpp"
 #include "core/sweep.hpp"
 #include "core/sweep_engine.hpp"
 #include "dut/filters.hpp"
@@ -55,27 +60,39 @@ bool points_identical(const std::vector<core::frequency_point>& a,
     return true;
 }
 
+constexpr std::size_t kLanes = 8;
+
+core::sweep_engine_options lane_options(bool share_stimulus) {
+    core::sweep_engine_options options;
+    options.threads = 4; // parallel, but deterministic w.r.t. the host
+    options.batch_lanes = kLanes;
+    options.share_stimulus = share_stimulus;
+    return options;
+}
+
 struct sweep_timing {
     core::sweep_report report;
-    core::stimulus_cache_stats cache;
+    std::size_t renders = 0; ///< staircase renders of the kept run
+    std::size_t reuses = 0;  ///< staircase cache hits of the kept run
 };
 
 /// Run the batch `repeats` times on a fresh engine each time and keep the
 /// fastest run (wall-clock is noisy on loaded machines; min is the honest
-/// estimate of the work).
+/// estimate of the work).  Cached runs start from an empty process cache.
 sweep_timing best_of(const core::board_factory& factory,
                      const core::analyzer_settings& settings,
                      const std::vector<hertz>& frequencies, bool share_stimulus,
                      int repeats) {
+    auto& cache = core::stimulus_cache::process();
     sweep_timing best;
     for (int i = 0; i < repeats; ++i) {
-        core::sweep_engine_options options;
-        options.threads = 4; // parallel, but deterministic w.r.t. the host
-        options.share_stimulus = share_stimulus;
-        core::sweep_engine engine(factory, settings, options);
+        cache.clear();
+        const auto before = cache.stats();
+        core::sweep_engine engine(factory, settings, lane_options(share_stimulus));
         auto report = engine.run(frequencies);
         if (i == 0 || report.elapsed_seconds < best.report.elapsed_seconds) {
-            best.cache = engine.stimulus_stats();
+            best.renders = cache.stats().misses - before.misses;
+            best.reuses = cache.stats().hits - before.hits;
             best.report = std::move(report);
         }
     }
@@ -114,11 +131,11 @@ int main() {
                                : 0.0;
     std::cout << "\nRealistic generator, " << frequencies.size()
               << "-point Bode batch (M = " << settings.periods << ", settle "
-              << settings.settle_periods << ", 4 threads, best of 3):\n"
+              << settings.settle_periods << ", 4 threads x " << kLanes
+              << " lanes, best of 3):\n"
               << "  cache off: " << uncached.report.elapsed_seconds << " s\n"
               << "  cache on:  " << cached.report.elapsed_seconds << " s ("
-              << cached.cache.misses << " staircase render(s), " << cached.cache.hits
-              << " reuses)\n"
+              << cached.renders << " staircase render(s), " << cached.reuses << " reuses)\n"
               << "  speedup: " << speedup << "x\n"
               << "  outputs bit-identical: " << (realistic_identical ? "YES" : "NO") << "\n";
 
@@ -131,18 +148,44 @@ int main() {
     std::cout << "\nIdeal (noise-free) generator, same batch:\n"
               << "  outputs bit-identical: " << (ideal_identical ? "YES" : "NO") << "\n";
 
+    // --- Reuse across engines: a fresh engine per request, as the svc
+    // daemon builds one per job, still renders the staircase once.
+    constexpr std::size_t requests = 4;
+    auto& cache = core::stimulus_cache::process();
+    cache.clear();
+    const auto before = cache.stats();
+    bool per_request_identical = true;
+    for (std::size_t r = 0; r < requests; ++r) {
+        core::sweep_engine engine(realistic, settings, lane_options(true));
+        per_request_identical = per_request_identical &&
+                                points_identical(engine.run(frequencies).points,
+                                                 uncached.report.points);
+    }
+    const std::size_t engine_renders = cache.stats().misses - before.misses;
+    const std::size_t engine_reuses = cache.stats().hits - before.hits;
+    std::cout << "\nFresh engine per request, " << requests << " requests:\n"
+              << "  " << engine_renders << " staircase render(s), " << engine_reuses
+              << " reuses across engines\n"
+              << "  outputs bit-identical: " << (per_request_identical ? "YES" : "NO")
+              << "\n";
+
     bench::footnote("Clock normalization means the staircase is the same discrete "
                     "sequence at every master clock; caching it changes nothing but "
                     "the wall clock.");
 
     bool failed = false;
-    if (!ideal_identical || !realistic_identical) {
+    if (!ideal_identical || !realistic_identical || !per_request_identical) {
         std::cerr << "FAILURE: cached sweep diverged from uncached reference\n";
         failed = true;
     }
-    if (cached.cache.misses != 1) {
+    if (cached.renders != 1) {
         std::cerr << "FAILURE: expected exactly one staircase render with the cache on, "
-                  << "got " << cached.cache.misses << "\n";
+                  << "got " << cached.renders << "\n";
+        failed = true;
+    }
+    if (engine_renders != 1) {
+        std::cerr << "FAILURE: expected one staircase render across " << requests
+                  << " fresh engines, got " << engine_renders << "\n";
         failed = true;
     }
     if (speedup < 1.5) {

@@ -21,14 +21,35 @@ inline void banner(const std::string& experiment, const std::string& description
 
 inline void footnote(const std::string& text) { std::cout << "\n" << text << "\n\n"; }
 
+/// MISMATCH verdicts printed so far by this process.
+inline int& mismatch_count() {
+    static int count = 0;
+    return count;
+}
+
 /// "shape holds" verdict line: |measured - paper| within a stated window.
-inline void verdict(const std::string& quantity, double paper, double measured,
+/// A miss prints MISMATCH and counts toward verdict_exit_code().
+inline bool verdict(const std::string& quantity, double paper, double measured,
                     double window) {
     const double delta = measured - paper;
     const bool ok = delta <= window && delta >= -window;
     std::cout << "  " << quantity << ": paper " << paper << ", measured " << measured
               << " (delta " << delta << ", window +/-" << window << ") -> "
               << (ok ? "SHAPE HOLDS" : "MISMATCH") << "\n";
+    if (!ok) {
+        ++mismatch_count();
+    }
+    return ok;
+}
+
+/// A figure bench's exit code: 0 when every verdict held, else 1 after
+/// naming the number of mismatches.
+inline int verdict_exit_code() {
+    if (mismatch_count() == 0) {
+        return 0;
+    }
+    std::cerr << "FAILURE: " << mismatch_count() << " verdict(s) MISMATCH\n";
+    return 1;
 }
 
 /// One key of a flat perf record: a JSON number, or a boolean for bool.

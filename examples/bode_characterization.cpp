@@ -4,13 +4,15 @@
 //
 // Demonstrates: log sweeps, one-time calibration, measurement bounds,
 // swapping in a different DUT (an MFB filter with gain), and the parallel
-// sweep engine (the batch runs across all hardware threads, bit-identical
-// to the serial path, and renders the clock-normalized generator staircase
-// once for the whole batch via the shared stimulus cache).
+// sweep engine (the batch runs across all hardware threads in lockstep lane
+// groups, bit-identical to the serial path, and renders the
+// clock-normalized generator staircase once per process via the
+// process-wide stimulus cache).
 #include <iostream>
 
 #include "common/csv.hpp"
 #include "common/table.hpp"
+#include "core/stimulus_cache.hpp"
 #include "core/sweep.hpp"
 #include "core/sweep_engine.hpp"
 #include "dut/filters.hpp"
@@ -26,8 +28,12 @@ void characterize(const char* title, const bistna::core::board_factory& factory,
     settings.periods = 200;
 
     const auto frequencies = core::log_spaced(hertz{100.0}, kilohertz(20.0), 17);
-    core::sweep_engine engine(factory, settings); // threads = hardware concurrency
+    core::sweep_engine_options options; // threads = hardware concurrency
+    options.batch_lanes = 8;            // the lane path reads the process stimulus cache
+    core::sweep_engine engine(factory, settings, options);
+    const auto before = core::stimulus_cache::process().stats();
     const auto report = engine.run(frequencies);
+    const auto after = core::stimulus_cache::process().stats();
 
     ascii_table table({"f (Hz)", "gain (dB)", "gain lo/hi", "phase (deg)", "phase lo/hi",
                        "true gain", "true phase"});
@@ -48,13 +54,14 @@ void characterize(const char* title, const bistna::core::board_factory& factory,
     }
     std::cout << "\n=== " << title << " ===\n";
     table.print(std::cout);
-    const auto cache = engine.stimulus_stats();
     std::cout << "(" << report.points.size() << " points on " << report.threads_used
               << " thread(s) in " << format_fixed(report.elapsed_seconds, 2)
               << " s; worst |gain error| " << format_fixed(report.worst_gain_error_db, 3)
               << " dB, gain-bound violations " << report.gain_bound_violations << ")\n";
-    std::cout << "(clock-normalized stimulus rendered " << cache.misses << " time(s), reused "
-              << cache.hits << " time(s) across the batch)\n";
+    std::cout << "(process-wide stimulus cache: the clock-normalized staircase was rendered "
+              << after.misses - before.misses << " time(s) and reused "
+              << after.hits - before.hits << " time(s) during this batch; "
+              << after.misses << " render(s) in the process so far)\n";
     std::cout << "(CSV written to " << csv_path << ")\n";
 }
 

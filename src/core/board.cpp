@@ -19,18 +19,20 @@ std::vector<double> demonstrator_board::render(const sim::timebase& tb, std::siz
     BISTNA_EXPECTS(periods > 0, "must render at least one period");
 
     const auto staircase = stimulus_record(periods, settle_periods);
-    return render_from_stimulus(*staircase, tb, periods, path, settle_periods);
+    return render_from_stimulus(staircase.samples, tb, periods, path, settle_periods);
 }
 
-stimulus_cache::record_ptr
-demonstrator_board::stimulus_record(std::size_t periods, std::size_t settle_periods) const {
-    if (stimulus_cache_) {
+stimulus_view demonstrator_board::stimulus_record(std::size_t periods,
+                                                  std::size_t settle_periods) const {
+    if (stimulus_cache_ != nullptr) {
         return stimulus_cache_->get_or_render(
-            stimulus_cache_key(periods, settle_periods),
+            stimulus_cache_key(),
+            (settle_periods + periods) * sim::timebase::oversampling_ratio,
             [&] { return render_stimulus(periods, settle_periods); });
     }
-    return std::make_shared<const stimulus_cache::record>(
-        render_stimulus(periods, settle_periods));
+    auto owner =
+        std::make_shared<const std::vector<double>>(render_stimulus(periods, settle_periods));
+    return {std::span<const double>(*owner), std::move(owner)};
 }
 
 std::vector<double> demonstrator_board::render_stimulus(std::size_t periods,
@@ -40,8 +42,9 @@ std::vector<double> demonstrator_board::render_stimulus(std::size_t periods,
     // A fresh generator per render: the hardware is reset between
     // acquisitions, and rendering from generator phase 0 keeps records
     // phase-coherent across calibration and measurement runs.  The staircase
-    // is a pure function of (generator params, amplitude, period counts), so
-    // repeated renders -- and therefore cached reuse -- are bit-identical.
+    // is a pure function of (generator params, amplitude), truncated to the
+    // period counts -- a shorter render is a prefix of a longer one -- so
+    // repeated renders and cached prefixes are bit-identical.
     gen::sinewave_generator generator(gen_params_);
     generator.set_amplitude(va_diff_);
 
@@ -91,14 +94,8 @@ std::vector<double> demonstrator_board::render_from_stimulus(
     return record;
 }
 
-stimulus_key demonstrator_board::stimulus_cache_key(std::size_t periods,
-                                                    std::size_t settle_periods) const {
-    stimulus_key key;
-    key.design_fingerprint = gen_params_.fingerprint();
-    key.amplitude_bits = canonical_double_bits(va_diff_.value);
-    key.periods = periods;
-    key.settle_periods = settle_periods;
-    return key;
+stimulus_key demonstrator_board::stimulus_cache_key() const {
+    return {gen_params_.fingerprint(), canonical_double_bits(va_diff_.value)};
 }
 
 eval::sample_source demonstrator_board::as_source(std::vector<double> record) {

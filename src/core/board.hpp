@@ -44,9 +44,9 @@ public:
     ///
     /// Internally two stages: render_stimulus (frequency-independent,
     /// cacheable) then render_from_stimulus (per-timebase DUT filtering).
-    /// When a stimulus cache is attached the first stage is fetched from /
-    /// published to it; results are bit-identical either way because the
-    /// staircase is a pure function of the generator parameters.
+    /// When a stimulus cache is attached the first stage is read from it;
+    /// results are bit-identical either way because the staircase is a
+    /// pure function of the generator parameters.
     std::vector<double> render(const sim::timebase& tb, std::size_t periods,
                                signal_path path, std::size_t settle_periods = 32);
 
@@ -58,12 +58,10 @@ public:
     std::vector<double> render_stimulus(std::size_t periods,
                                         std::size_t settle_periods) const;
 
-    /// The stage-1 staircase as an immutable shared record: fetched from
-    /// the attached cache when one is present (zero-copy on a hit; render()
-    /// and the sweep engine's lane-major pipeline both read straight from
-    /// the cached record), rendered fresh otherwise.
-    stimulus_cache::record_ptr stimulus_record(std::size_t periods,
-                                               std::size_t settle_periods) const;
+    /// The stage-1 staircase as an immutable shared record: read from the
+    /// attached cache when one is present (zero-copy; a prefix of a longer
+    /// cached record on a hit), rendered fresh otherwise.
+    stimulus_view stimulus_record(std::size_t periods, std::size_t settle_periods) const;
 
     /// Stage 2: filter a staircase from render_stimulus through the
     /// selected path on timebase `tb` (ZOH state-space pass for the DUT
@@ -74,20 +72,15 @@ public:
                                              const sim::timebase& tb, std::size_t periods,
                                              signal_path path, std::size_t settle_periods);
 
-    /// Attach (or detach, with nullptr) a shared stimulus-record cache.
-    /// Safe to share one cache across boards and threads; boards with
-    /// different generator designs never collide because the key includes
-    /// the design fingerprint.
-    void set_stimulus_cache(std::shared_ptr<stimulus_cache> cache) {
-        stimulus_cache_ = std::move(cache);
-    }
-    const std::shared_ptr<stimulus_cache>& shared_stimulus_cache() const noexcept {
-        return stimulus_cache_;
-    }
+    /// Attach (or detach, with nullptr) a stimulus cache -- in practice
+    /// stimulus_cache::process(), which the sweep engine attaches to its
+    /// lane-path boards.  Boards of different generator designs never
+    /// collide because the key includes the design fingerprint.
+    void set_stimulus_cache(stimulus_cache* cache) noexcept { stimulus_cache_ = cache; }
 
-    /// The cache key render() uses for the stimulus stage of this board in
-    /// its current configuration.
-    stimulus_key stimulus_cache_key(std::size_t periods, std::size_t settle_periods) const;
+    /// The cache key of this board's staircase in its current
+    /// configuration (every period count shares it).
+    stimulus_key stimulus_cache_key() const;
 
     /// Wrap a rendered record as an evaluator sample source.
     static eval::sample_source as_source(std::vector<double> record);
@@ -100,7 +93,7 @@ private:
     gen::generator_params gen_params_;
     std::unique_ptr<dut::device_under_test> dut_;
     volt va_diff_{0.15};
-    std::shared_ptr<stimulus_cache> stimulus_cache_;
+    stimulus_cache* stimulus_cache_ = nullptr;
 };
 
 } // namespace bistna::core

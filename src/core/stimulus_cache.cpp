@@ -1,7 +1,6 @@
 #include "core/stimulus_cache.hpp"
 
-#include <algorithm>
-#include <utility>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -10,96 +9,25 @@ namespace bistna::core {
 
 std::size_t stimulus_key_hash::operator()(const stimulus_key& key) const noexcept {
     std::uint64_t hash = fnv1a_offset_basis;
-    for (std::uint64_t word :
-         {key.design_fingerprint, key.amplitude_bits, key.periods, key.settle_periods}) {
-        fnv1a_mix(hash, word);
-    }
+    fnv1a_mix(hash, key.design_fingerprint);
+    fnv1a_mix(hash, key.amplitude_bits);
     return static_cast<std::size_t>(hash);
 }
 
-stimulus_cache::stimulus_cache(std::size_t max_entries) : max_entries_(max_entries) {
-    BISTNA_EXPECTS(max_entries > 0, "stimulus cache needs room for at least one record");
+stimulus_cache& stimulus_cache::process() {
+    static stimulus_cache cache;
+    return cache;
 }
 
-void stimulus_cache::evict_for_insert_locked() {
-    while (entries_.size() >= max_entries_ && !insertion_order_.empty()) {
-        // Oldest-first: sweep and screening access patterns reuse a key
-        // heavily right after inserting it, so the oldest entry is the one
-        // least likely to be touched again.  Callers already waiting on the
-        // evicted future keep their own reference; only the cache forgets.
-        entries_.erase(insertion_order_.front());
-        insertion_order_.pop_front();
-        evictions_.add();
-    }
-}
+stimulus_cache::stimulus_cache(std::size_t max_bytes)
+    : records_(max_bytes, std::numeric_limits<std::size_t>::max(), "engine.stimulus") {}
 
-stimulus_cache::record_ptr stimulus_cache::get_or_render(const stimulus_key& key,
-                                                         const render_fn& render) {
+stimulus_view stimulus_cache::get_or_render(const stimulus_key& key, std::size_t samples,
+                                            const std::function<record()>& render) {
     BISTNA_EXPECTS(render != nullptr, "stimulus cache requires a render function");
-
-    std::promise<record_ptr> promise;
-    std::shared_future<record_ptr> pending;
-    std::uint64_t own_id = 0;
-    bool is_renderer = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            hits_.add();
-            pending = it->second.future;
-        } else {
-            misses_.add();
-            evict_for_insert_locked();
-            own_id = next_entry_id_++;
-            entries_.emplace(key, entry{promise.get_future().share(), own_id});
-            insertion_order_.push_back(key);
-            is_renderer = true;
-        }
-    }
-
-    if (!is_renderer) {
-        // Waits (outside the lock) for an in-flight render of the same key;
-        // rethrows if that render failed -- its owner forgot the entry, so a
-        // later call can retry.
-        return pending.get();
-    }
-
-    try {
-        record_ptr rendered = std::make_shared<const record>(render());
-        promise.set_value(rendered);
-        return rendered;
-    } catch (...) {
-        promise.set_exception(std::current_exception());
-        std::lock_guard<std::mutex> lock(mutex_);
-        // Erase only our own entry: it may already have been evicted and the
-        // key re-inserted by a newer render.
-        const auto it = entries_.find(key);
-        if (it != entries_.end() && it->second.id == own_id) {
-            entries_.erase(it);
-            const auto pos =
-                std::find(insertion_order_.begin(), insertion_order_.end(), key);
-            if (pos != insertion_order_.end()) {
-                insertion_order_.erase(pos);
-            }
-        }
-        throw;
-    }
-}
-
-stimulus_cache_stats stimulus_cache::stats() const {
-    stimulus_cache_stats snapshot;
-    snapshot.hits = hits_.value();
-    snapshot.misses = misses_.value();
-    snapshot.evictions = evictions_.value();
-    std::lock_guard<std::mutex> lock(mutex_);
-    snapshot.entries = entries_.size();
-    return snapshot;
-}
-
-void stimulus_cache::clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
-    insertion_order_.clear();
+    auto owner = records_.get_or_build(key, samples * sizeof(double), render);
+    BISTNA_EXPECTS(owner->size() >= samples, "render returned a short staircase");
+    return {std::span<const double>(*owner).first(samples), std::move(owner)};
 }
 
 } // namespace bistna::core

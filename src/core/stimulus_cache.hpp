@@ -1,47 +1,40 @@
-// Shared cache of rendered stimulus records (extension).
+// Process-wide cache of rendered generator staircases (extension).
 //
 // The system is clock-normalized: the generator emits the *same*
 // discrete-time staircase at every master clock, so the pre-DUT record of a
 // board render is identical at every Bode frequency up to timebase
-// labeling.  Re-simulating the switched-capacitor generator per point is
-// therefore pure waste -- this cache renders the staircase once per
-// (generator design, amplitude, periods, settle periods) and hands the
-// frequency-dependent DUT-filtering stage a shared immutable record.
+// labeling.  And every render steps a fresh generator from phase 0, so the
+// staircase of a shorter record is a strict prefix of a longer one.  This
+// cache therefore keys a record on the generator design and amplitude
+// only, keeps the longest record asked for so far, and serves every
+// shorter request as a span of its first samples -- across every Bode
+// point, die, dictionary item, engine and svc request of the process.
 //
-// Concurrency: get_or_render is safe to call from any number of sweep
-// workers.  The first caller of a key renders; concurrent callers of the
-// same key block on a shared future instead of rendering redundantly, and
-// callers of *different* keys never serialize against an in-flight render.
-// Records are immutable once published (shared_ptr<const vector>), so
-// readers need no further synchronization.  Capacity is bounded by FIFO
-// eviction; eviction only drops the cache's reference, never a record a
-// caller still holds.
+// It is a render_once_cache (common/render_once_cache.hpp): one render per
+// key even under concurrent misses, FIFO eviction by bytes, counts under
+// engine.stimulus.*.  Only the sweep engine's lane path reads through it;
+// the scalar batch_lanes = 1 path renders fresh and stays the oracle.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
-#include "telemetry/metrics.hpp"
+#include "common/render_once_cache.hpp"
 
 namespace bistna::core {
 
-/// Identity of one clock-normalized stimulus record.  The fingerprint
-/// covers every generator parameter that shapes the waveform (see
-/// gen::generator_params::fingerprint); amplitude, periods and settle are
-/// the remaining render inputs -- the timebase deliberately is *not* part
-/// of the key.
+/// Identity of one clock-normalized staircase.  The fingerprint covers
+/// every generator parameter that shapes the waveform (see
+/// gen::generator_params::fingerprint); the timebase and the period counts
+/// deliberately are *not* part of the key -- the length is served by the
+/// prefix rule.
 struct stimulus_key {
     std::uint64_t design_fingerprint = 0;
     std::uint64_t amplitude_bits = 0; ///< bit pattern of the programmed V_A diff
-    std::uint64_t periods = 0;
-    std::uint64_t settle_periods = 0;
 
     bool operator==(const stimulus_key&) const = default;
 };
@@ -50,51 +43,38 @@ struct stimulus_key_hash {
     std::size_t operator()(const stimulus_key& key) const noexcept;
 };
 
-struct stimulus_cache_stats {
-    std::size_t hits = 0;      ///< get_or_render calls served from the cache
-    std::size_t misses = 0;    ///< calls that had to render
-    std::size_t evictions = 0; ///< entries dropped by the capacity bound
-    std::size_t entries = 0;   ///< records currently resident
+/// A staircase as its readers see it: the requested samples, which may be
+/// a prefix of a longer cached record, plus the record's owner.
+struct stimulus_view {
+    std::span<const double> samples;
+    std::shared_ptr<const std::vector<double>> owner;
 };
 
 class stimulus_cache {
 public:
     using record = std::vector<double>;
-    using record_ptr = std::shared_ptr<const record>;
-    using render_fn = std::function<record()>;
 
-    /// Cache holding at most `max_entries` records (oldest-first eviction).
-    /// A Bode sweep needs one entry; a screening batch needs one per die
-    /// concurrently in flight.
-    explicit stimulus_cache(std::size_t max_entries = 64);
+    /// Resident-byte budget of the process cache: about 37 records of the
+    /// longest default request, (settle 32 + distortion 400 periods) x 96
+    /// samples.
+    static constexpr std::size_t process_budget_bytes = std::size_t{12} << 20;
 
-    /// The record for `key`, rendering it via `render` exactly once on a
-    /// miss.  Rethrows the render's exception to every caller waiting on it
-    /// and forgets the entry, so a later call can retry.
-    record_ptr get_or_render(const stimulus_key& key, const render_fn& render);
+    /// The cache every lane-path board of the process reads through.
+    static stimulus_cache& process();
 
-    stimulus_cache_stats stats() const;
-    std::size_t max_entries() const noexcept { return max_entries_; }
-    void clear();
+    explicit stimulus_cache(std::size_t max_bytes = process_budget_bytes);
+
+    /// The first `samples` samples of the record for `key`.  On a miss
+    /// `render` runs exactly once and must return at least `samples`
+    /// samples; a record longer than any resident one replaces it.
+    stimulus_view get_or_render(const stimulus_key& key, std::size_t samples,
+                                const std::function<record()>& render);
+
+    render_once_stats stats() const { return records_.stats(); }
+    void clear() { records_.clear(); }
 
 private:
-    struct entry {
-        std::shared_future<record_ptr> future;
-        std::uint64_t id = 0; ///< distinguishes re-inserted keys on cleanup
-    };
-
-    void evict_for_insert_locked();
-
-    std::size_t max_entries_;
-    mutable std::mutex mutex_;
-    std::unordered_map<stimulus_key, entry, stimulus_key_hash> entries_;
-    std::deque<stimulus_key> insertion_order_;
-    std::uint64_t next_entry_id_ = 1;
-    // The registry is the taxonomy owner; stats() is a thin view over these
-    // cells (engine.stimulus.* in an attached registry's snapshot).
-    telemetry::counter_cell hits_{"engine.stimulus.hits"};
-    telemetry::counter_cell misses_{"engine.stimulus.misses"};
-    telemetry::counter_cell evictions_{"engine.stimulus.evictions"};
+    render_once_cache<stimulus_key, record, stimulus_key_hash> records_;
 };
 
 } // namespace bistna::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <thread>
@@ -10,6 +11,7 @@
 
 #include "common/arena.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/math_util.hpp"
 #include "dut/state_space.hpp"
 #include "eval/acquire_plan.hpp"
@@ -28,23 +30,52 @@ arena& worker_arena() {
     return scratch;
 }
 
+using record_ptr = std::shared_ptr<const std::vector<double>>;
+
+} // namespace
+
+/// The share's key: the stage tag encodes the program stage, which pins
+/// (timebase, path, periods) within one batch.
+struct render_share_key {
+    std::uint64_t render_key = 0;
+    std::uint64_t stage_tag = 0;
+
+    bool operator==(const render_share_key&) const = default;
+};
+
+struct render_share_key_hash {
+    std::size_t operator()(const render_share_key& key) const noexcept {
+        std::uint64_t hash = fnv1a_offset_basis;
+        fnv1a_mix(hash, key.render_key);
+        fnv1a_mix(hash, key.stage_tag);
+        return static_cast<std::size_t>(hash);
+    }
+};
+
+struct render_share
+    : render_once_cache<render_share_key, std::vector<double>, render_share_key_hash> {
+    explicit render_share(std::size_t max_entries)
+        : render_once_cache(std::numeric_limits<std::size_t>::max(), max_entries,
+                            "engine.render_share") {}
+};
+
+namespace {
+
 /// Render one acquisition stage for one item, deduplicated through the
 /// batch's render share when the item carries a render key: identical
 /// boards produce bit-identical records (a render is a pure function of
-/// the board design), so the first item renders and the rest reuse.  The
-/// share is keyed on (render key, stage tag); the stage tag encodes the
-/// program stage, which pins (timebase, path, periods) within one batch.
-stimulus_cache::record_ptr render_stage(demonstrator_board& board,
-                                        stimulus_cache& shared_records,
-                                        std::uint64_t render_key, std::uint64_t stage_tag,
-                                        const sim::timebase& tb, std::size_t periods,
-                                        signal_path path, std::size_t settle_periods) {
+/// the board design), so the first item renders and the rest reuse.
+record_ptr render_stage(demonstrator_board& board, render_share& shared_records,
+                        std::uint64_t render_key, std::uint64_t stage_tag,
+                        const sim::timebase& tb, std::size_t periods, signal_path path,
+                        std::size_t settle_periods) {
     auto render = [&] { return board.render(tb, periods, path, settle_periods); };
     if (render_key == 0) {
-        return std::make_shared<const stimulus_cache::record>(render());
+        return std::make_shared<const std::vector<double>>(render());
     }
-    return shared_records.get_or_render(
-        stimulus_key{render_key, stage_tag, periods, settle_periods}, render);
+    return shared_records.get_or_build({render_key, stage_tag},
+                                       tb.samples_for_periods(periods) * sizeof(double),
+                                       render);
 }
 
 /// Stage tags for render_stage: 0 is the calibration stage, 1 + i the i-th
@@ -53,7 +84,7 @@ constexpr std::uint64_t calibration_stage_tag = 0;
 
 /// Render the through-DUT stage of `lanes.size()` boards into one
 /// lane-major block (sample n of lane i at out[n * lanes.size() + i]).
-/// Lane i filters stairs[i] (all one record when `same_staircase`) at
+/// Lane i filters stairs[i] (all one span when `same_staircase`) at
 /// timebases[i] (timebases[0] for every lane when only one is given),
 /// keeping the tail after the settle periods.  One lockstep
 /// state_space_bank pass when every lane exposes a compatible linear
@@ -62,7 +93,7 @@ constexpr std::uint64_t calibration_stage_tag = 0;
 /// different timebases bank too -- otherwise scalar renders transposed
 /// into the layout.  Bit-identical either way.
 void render_dut_lanes(std::span<demonstrator_board* const> lanes,
-                      std::span<const stimulus_cache::record_ptr> stairs, bool same_staircase,
+                      std::span<const stimulus_view> stairs, bool same_staircase,
                       std::span<const sim::timebase> timebases, std::size_t periods,
                       std::size_t settle_periods, arena& scratch, double* out) {
     const std::size_t n_lanes = lanes.size();
@@ -85,15 +116,15 @@ void render_dut_lanes(std::span<demonstrator_board* const> lanes,
         dut::state_space_bank bank({realizations.data(), n_lanes}, scratch);
         double* discard = scratch.allocate<double>(keep_from * n_lanes).data();
         if (same_staircase) {
-            const double* input = stairs[0]->data();
+            const double* input = stairs[0].samples.data();
             bank.step_block_shared(input, keep_from, discard);
             bank.step_block_shared(input + keep_from, tail, out);
         } else {
             const double** settle_inputs = scratch.allocate<const double*>(n_lanes).data();
             const double** tail_inputs = scratch.allocate<const double*>(n_lanes).data();
             for (std::size_t i = 0; i < n_lanes; ++i) {
-                settle_inputs[i] = stairs[i]->data();
-                tail_inputs[i] = stairs[i]->data() + keep_from;
+                settle_inputs[i] = stairs[i].samples.data();
+                tail_inputs[i] = stairs[i].samples.data() + keep_from;
             }
             bank.step_block_lanes(settle_inputs, keep_from, discard);
             bank.step_block_lanes(tail_inputs, tail, out);
@@ -105,7 +136,7 @@ void render_dut_lanes(std::span<demonstrator_board* const> lanes,
     // into the lane-major layout -- bit-identical by definition.
     for (std::size_t i = 0; i < n_lanes; ++i) {
         const auto record = lanes[i]->render_from_stimulus(
-            *stairs[i], timebase(i), periods, signal_path::through_dut, settle_periods);
+            stairs[i].samples, timebase(i), periods, signal_path::through_dut, settle_periods);
         for (std::size_t n = 0; n < tail; ++n) {
             out[n * n_lanes + i] = record[n];
         }
@@ -116,11 +147,11 @@ void render_dut_lanes(std::span<demonstrator_board* const> lanes,
 /// the owner of a shared record (alive until the stage is measured).
 struct stage_records {
     eval::lane_records records;
-    stimulus_cache::record_ptr owner;
+    record_ptr owner;
 };
 
 /// A lane group in flight on one worker: a board and an evaluator lane per
-/// item, the engine's demod-table cache and the worker's arena always
+/// item, the process-wide demod-table cache and the worker's arena always
 /// attached (offset calibrations come from the process-wide
 /// eval::calibration_memo).  Screening, Bode and acquisition groups are
 /// sequences of the three program stages below -- calibration, fundamental
@@ -133,12 +164,12 @@ public:
     /// `shared_records` (see render_stage).
     lane_group(std::vector<demonstrator_board> boards,
                std::vector<eval::evaluator_config> configs, const analyzer_settings& settings,
-               eval::demod_table_cache& tables, std::vector<std::uint64_t> render_keys = {},
-               stimulus_cache* shared_records = nullptr)
+               std::vector<std::uint64_t> render_keys = {},
+               render_share* shared_records = nullptr)
         : boards_(std::move(boards)), evaluators_(std::move(configs)), settings_(settings),
           scratch_(worker_arena()), render_keys_(std::move(render_keys)),
           shared_records_(shared_records) {
-        evaluators_.set_shared_resources(&tables, &scratch_);
+        evaluators_.set_shared_resources(&eval::demod_table_cache::process(), &scratch_);
         all_.resize(boards_.size());
         std::iota(all_.begin(), all_.end(), std::size_t{0});
     }
@@ -215,8 +246,8 @@ public:
 private:
     /// The stage runner: the `periods`-period record of every active lane
     /// on `path`.  When every lane resolves to one record -- one cached
-    /// staircase on the calibration path, one render-key share through the
-    /// DUT -- the evaluator reads it in place.  Otherwise the records form
+    /// staircase span on the calibration path, one render-key share through
+    /// the DUT -- the evaluator reads it in place.  Otherwise the records form
     /// a lane-major block in the worker arena: staircase tails copied into
     /// their columns on the calibration path, one render_dut_lanes pass
     /// through the DUT.  Resets the arena: a block lives until the next
@@ -244,15 +275,18 @@ private:
             }
         }
 
-        std::vector<stimulus_cache::record_ptr> stairs(lanes);
+        std::vector<stimulus_view> stairs(lanes);
         for (std::size_t i = 0; i < lanes; ++i) {
             stairs[i] = boards_[active[i]].stimulus_record(periods, settings_.settle_periods);
         }
+        // Every lane requests the same length, so one start pointer means
+        // one span.
         const bool same_staircase =
-            std::all_of(stairs.begin(), stairs.end(),
-                        [&](const auto& stair) { return stair.get() == stairs[0].get(); });
+            std::all_of(stairs.begin(), stairs.end(), [&](const stimulus_view& stair) {
+                return stair.samples.data() == stairs[0].samples.data();
+            });
         if (path == signal_path::calibration && same_staircase) {
-            return {{stairs[0]->data() + keep_from, tail, true}, stairs[0]};
+            return {{stairs[0].samples.data() + keep_from, tail, true}, stairs[0].owner};
         }
 
         double* out = scratch_.allocate<double>(tail * lanes).data();
@@ -265,7 +299,7 @@ private:
                              settings_.settle_periods, scratch_, out);
         } else {
             for (std::size_t i = 0; i < lanes; ++i) {
-                const double* record = stairs[i]->data() + keep_from;
+                const double* record = stairs[i].samples.data() + keep_from;
                 for (std::size_t n = 0; n < tail; ++n) {
                     out[n * lanes + i] = record[n];
                 }
@@ -279,7 +313,7 @@ private:
     const analyzer_settings& settings_;
     arena& scratch_;
     std::vector<std::uint64_t> render_keys_;
-    stimulus_cache* shared_records_;
+    render_share* shared_records_;
     std::vector<std::size_t> all_;
 };
 
@@ -297,30 +331,19 @@ sweep_engine::sweep_engine(board_factory factory, analyzer_settings settings,
     if (options_.autotune) {
         run_autotune(); // may rewrite options_.threads / options_.batch_lanes
     }
-    demod_tables_ = std::make_shared<eval::demod_table_cache>();
     queue_ = options_.queue ? options_.queue
                             : std::make_shared<job_queue>(options_.threads);
-    if (options_.share_stimulus) {
-        // A screening batch holds threads x batch_lanes dice in flight at
-        // once; keep the FIFO large enough that no group's records are
-        // evicted mid-screen.
-        const std::size_t in_flight =
-            resolved_threads() * std::max<std::size_t>(1, options_.batch_lanes);
-        stimulus_cache_ = std::make_shared<stimulus_cache>(
-            std::max(options_.stimulus_cache_entries, in_flight));
-    }
+}
+
+stimulus_cache* sweep_engine::lane_stimulus_cache() const noexcept {
+    return options_.share_stimulus && options_.batch_lanes > 1 ? &stimulus_cache::process()
+                                                               : nullptr;
 }
 
 demonstrator_board sweep_engine::make_board(std::uint64_t seed) const {
     demonstrator_board board = factory_(seed);
-    if (stimulus_cache_) {
-        board.set_stimulus_cache(stimulus_cache_);
-    }
+    board.set_stimulus_cache(lane_stimulus_cache());
     return board;
-}
-
-stimulus_cache_stats sweep_engine::stimulus_stats() const {
-    return stimulus_cache_ ? stimulus_cache_->stats() : stimulus_cache_stats{};
 }
 
 sweep_stats sweep_engine::stats() const {
@@ -330,7 +353,7 @@ sweep_stats sweep_engine::stats() const {
     stats.autotuned = autotuned_;
     stats.autotune_seconds = autotune_seconds_;
     stats.autotune_candidates = autotune_candidates_;
-    stats.stimulus = stimulus_stats();
+    stats.stimulus = stimulus_cache::process().stats();
     stats.calibration_snapshots = eval::calibration_memo::process().entries();
     return stats;
 }
@@ -453,7 +476,7 @@ void sweep_engine::bode_group(const std::vector<hertz>& frequencies,
         configs[l].seed = sweep_item_seed(options_.base_seed, first + l + 1);
         timebases.push_back(sim::timebase::for_wave_frequency(frequencies[first + l]));
     }
-    lane_group group(std::move(boards), std::move(configs), settings_, *demod_tables_);
+    lane_group group(std::move(boards), std::move(configs), settings_);
     const auto outputs = group.fundamental(group.all(), timebases);
     for (std::size_t l = 0; l < count; ++l) {
         out[l] = group.point(l, frequencies[first + l], calibration, outputs[l]);
@@ -577,9 +600,7 @@ sweep_engine::submit_screening(const spec_mask& mask, std::size_t dice,
                 // Same per-die construction as the sequential
                 // core::screen_lot: the die's identity comes solely from its
                 // factory seed, so the batch is bit-identical to the serial
-                // loop (the shared stimulus cache keys on the generator
-                // design fingerprint, so a record is reused across dice only
-                // when their stimulus is genuinely identical).
+                // loop.
                 demonstrator_board board = make_board(job->first_seed + first + l);
                 network_analyzer analyzer(board, settings_);
                 out[l] = screen(analyzer, job->mask, job->screening);
@@ -608,7 +629,7 @@ void sweep_engine::screen_group(const spec_mask& mask, const screening_options& 
     }
     lane_group group(std::move(boards),
                      std::vector<eval::evaluator_config>(count, settings_.evaluator),
-                     settings_, *demod_tables_);
+                     settings_);
 
     // Stage 1 -- the stimulus self-test through the calibration path.
     const auto inputs = group.calibrate();
@@ -676,7 +697,7 @@ lot_result sweep_engine::screen_lot(const spec_mask& mask, std::size_t dice,
 
 namespace {
 
-eval::sample_source as_shared_source(stimulus_cache::record_ptr record) {
+eval::sample_source as_shared_source(record_ptr record) {
     return [record = std::move(record)](std::size_t n) { return (*record)[n]; };
 }
 
@@ -693,7 +714,7 @@ struct acquisition_job {
 
     std::vector<core::sweep_engine::acquisition_item> items;
     core::sweep_engine::acquisition_program program;
-    stimulus_cache shared_records; ///< thread-safe render-once share
+    render_share shared_records; ///< thread-safe render-once share
 };
 
 } // namespace
@@ -741,11 +762,8 @@ std::vector<sweep_engine::acquisition_result> sweep_engine::acquire(
 
 sweep_engine::acquisition_result sweep_engine::acquire_scalar(
     const acquisition_item& item, const acquisition_program& program,
-    stimulus_cache& shared_records) {
+    render_share& shared_records) {
     demonstrator_board board = item.make_board();
-    if (stimulus_cache_) {
-        board.set_stimulus_cache(stimulus_cache_);
-    }
     // The plain per-item evaluator, driven through exactly the call
     // sequence the batched path runs in lockstep: offset calibration on
     // first use, one fundamental acquisition for the calibration stage and
@@ -795,7 +813,7 @@ sweep_engine::acquisition_result sweep_engine::acquire_scalar(
 void sweep_engine::acquire_group(const std::vector<acquisition_item>& items,
                                  const acquisition_program& program, std::size_t first,
                                  std::size_t count, acquisition_result* results,
-                                 stimulus_cache& shared_records) {
+                                 render_share& shared_records) {
     BISTNA_EXPECTS(count > 0, "lane group must contain at least one item");
 
     std::vector<demonstrator_board> boards;
@@ -806,13 +824,11 @@ void sweep_engine::acquire_group(const std::vector<acquisition_item>& items,
     render_keys.reserve(count);
     for (std::size_t l = 0; l < count; ++l) {
         boards.push_back(items[first + l].make_board());
-        if (stimulus_cache_) {
-            boards.back().set_stimulus_cache(stimulus_cache_);
-        }
+        boards.back().set_stimulus_cache(lane_stimulus_cache());
         configs.push_back(items[first + l].evaluator);
         render_keys.push_back(items[first + l].render_key);
     }
-    lane_group group(std::move(boards), std::move(configs), settings_, *demod_tables_,
+    lane_group group(std::move(boards), std::move(configs), settings_,
                      std::move(render_keys), &shared_records);
 
     // Stage 1 -- calibration-path characterization (the scalar calibrate()).

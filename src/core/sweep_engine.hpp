@@ -43,14 +43,11 @@
 #include "core/stimulus_cache.hpp"
 #include "sim/timebase.hpp"
 
-namespace bistna {
-class arena;
-namespace eval {
-class demod_table_cache;
-} // namespace eval
-} // namespace bistna
-
 namespace bistna::core {
+
+/// An acquisition batch's render-once share of keyed items' records
+/// (defined in sweep_engine.cpp).
+struct render_share;
 
 struct sweep_engine_options {
     /// Worker threads of the engine's own pool; 0 picks
@@ -67,16 +64,13 @@ struct sweep_engine_options {
     /// point's analyzer (the paper's one-time-calibration claim); when false
     /// each point re-runs the calibration path itself.
     bool share_calibration = true;
-    /// Share one stimulus-record cache across every board the engine
-    /// constructs: the clock-normalized staircase is rendered once per
-    /// (design, amplitude, periods, settle) and reused by every frequency
-    /// point / die that needs it.  Bit-identical to rendering per point.
+    /// Read every lane-path staircase through the process-wide
+    /// stimulus_cache::process(): the clock-normalized staircase is then
+    /// rendered once per (design, amplitude) for the whole process and
+    /// shorter records are served as prefixes of the longest one.  Applies
+    /// only when batch_lanes > 1; the scalar path always renders fresh.
+    /// Bit-identical either way.
     bool share_stimulus = true;
-    /// Capacity of the shared stimulus cache (records, oldest evicted
-    /// first).  A Bode batch needs 1; a screening batch needs one per die
-    /// concurrently in flight -- threads x batch_lanes of them -- so the
-    /// engine grows this floor to that product when it is larger.
-    std::size_t stimulus_cache_entries = 64;
     /// Dice (or Bode points, or acquisition items) evaluated in lockstep
     /// per work item: one banked DUT render and one SoA modulator bank per
     /// program stage (threads x lanes in flight overall).  1 runs the
@@ -111,7 +105,9 @@ struct sweep_stats {
     bool autotuned = false;
     double autotune_seconds = 0.0;
     std::vector<autotune_candidate> autotune_candidates;
-    stimulus_cache_stats stimulus;
+    /// Counts of the process-wide staircase cache (stimulus_cache::process(),
+    /// shared by every engine of the process, not just this one).
+    render_once_stats stimulus;
     /// Calibration snapshots resident in the process-wide memo the lane
     /// fast path consults (eval::calibration_memo::process(), shared by
     /// every engine of the process).
@@ -171,8 +167,9 @@ public:
     // bit-identical to it, because every item owns its own seeded streams.
 
     /// One item of a generic acquisition batch.  `make_board` must be a
-    /// pure function (it is invoked once, possibly on a worker thread); the
-    /// engine attaches its shared stimulus cache to the result.
+    /// pure function (it is invoked once, possibly on a worker thread); on
+    /// the lane path the engine attaches the process stimulus cache to the
+    /// result.
     struct acquisition_item {
         std::function<demonstrator_board()> make_board;
         eval::evaluator_config evaluator;
@@ -254,17 +251,17 @@ public:
 
     const sweep_engine_options& options() const noexcept { return options_; }
 
-    /// Hit/miss/eviction counters of the shared stimulus cache, accumulated
-    /// over every batch this engine has run (all zeros when share_stimulus
-    /// is off).
-    stimulus_cache_stats stimulus_stats() const;
-
     /// Resolved configuration (post-autotune) and shared-resource counters.
     sweep_stats stats() const;
 
 private:
-    /// Build the work item's board and attach the shared cache to it.
+    /// Build the work item's board, reading its staircase through the
+    /// process cache on the lane path.
     demonstrator_board make_board(std::uint64_t seed) const;
+
+    /// stimulus_cache::process() when lane-path boards share staircases,
+    /// else null (batch_lanes = 1 or share_stimulus off).
+    stimulus_cache* lane_stimulus_cache() const noexcept;
 
     /// One Bode point on the scalar analyzer path (the per-item unit of a
     /// submitted Bode job without lockstep lanes).
@@ -275,9 +272,9 @@ private:
     // The three lane-group shapes below run the scalar program in
     // lockstep over one stage runner (sweep_engine.cpp): every stage
     // renders as a shared record or a banked lane-major block and feeds the
-    // lane-major evaluator kernels, with cached demodulation tables and the
-    // worker's arena attached and offset calibrations transplanted from
-    // the process-wide eval::calibration_memo.
+    // lane-major evaluator kernels, with the process-wide demodulation
+    // tables and the worker's arena attached and offset calibrations
+    // transplanted from the process-wide eval::calibration_memo.
 
     /// A lane group of Bode points (the shared-calibration lockstep path),
     /// points written to out[0..count).  The lanes differ only in timebase.
@@ -302,7 +299,7 @@ private:
     void acquire_group(const std::vector<acquisition_item>& items,
                        const acquisition_program& program, std::size_t first,
                        std::size_t count, acquisition_result* results,
-                       stimulus_cache& shared_records);
+                       render_share& shared_records);
 
     /// Autotune probe (constructor helper): time candidate
     /// {threads, batch_lanes} points and adopt the fastest into options_.
@@ -313,15 +310,11 @@ private:
     /// would issue.
     acquisition_result acquire_scalar(const acquisition_item& item,
                                       const acquisition_program& program,
-                                      stimulus_cache& shared_records);
+                                      render_share& shared_records);
 
     board_factory factory_;
     analyzer_settings settings_;
     sweep_engine_options options_;
-    std::shared_ptr<stimulus_cache> stimulus_cache_;
-    /// Shared lane-group demodulation sign tables (pure functions of the
-    /// acquisition settings; thread-safe).
-    std::shared_ptr<eval::demod_table_cache> demod_tables_;
     bool autotuned_ = false;
     double autotune_seconds_ = 0.0;
     std::vector<autotune_candidate> autotune_candidates_;

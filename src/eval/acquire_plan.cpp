@@ -6,35 +6,31 @@
 
 namespace bistna::eval {
 
-namespace {
-
-std::uint64_t tables_key(const acquisition_settings& settings) {
-    std::uint64_t hash = fnv1a_offset_basis;
-    fnv1a_mix(hash, static_cast<std::uint64_t>(settings.harmonic_k));
-    fnv1a_mix(hash, static_cast<std::uint64_t>(settings.n_per_period));
-    fnv1a_mix(hash, static_cast<std::uint64_t>(settings.periods));
-    fnv1a_mix(hash, std::uint64_t{settings.offset == offset_mode::chopped ? 1U : 0U});
-    return hash;
+demod_key demod_key::of(const acquisition_settings& settings) noexcept {
+    return {settings.harmonic_k, settings.n_per_period, settings.periods,
+            settings.offset == offset_mode::chopped};
 }
 
-} // namespace
+std::size_t demod_key_hash::operator()(const demod_key& key) const noexcept {
+    std::uint64_t hash = fnv1a_offset_basis;
+    fnv1a_mix(hash, static_cast<std::uint64_t>(key.harmonic_k));
+    fnv1a_mix(hash, static_cast<std::uint64_t>(key.n_per_period));
+    fnv1a_mix(hash, static_cast<std::uint64_t>(key.periods));
+    fnv1a_mix(hash, std::uint64_t{key.chopped ? 1U : 0U});
+    return static_cast<std::size_t>(hash);
+}
+
+demod_table_cache& demod_table_cache::process() {
+    static demod_table_cache cache;
+    return cache;
+}
+
+demod_table_cache::demod_table_cache() : tables_(max_bytes, max_entries, "eval.demod") {}
 
 std::shared_ptr<const demod_tables>
 demod_table_cache::get(const acquisition_settings& settings) {
-    const std::uint64_t key = tables_key(settings);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = entries_.find(key);
-        if (it != entries_.end() && it->second->matches(settings)) {
-            return it->second;
-        }
-    }
-    // Build outside the lock (tables for long acquisitions are sizeable);
-    // concurrent builders produce identical tables, last store wins.
-    auto built = std::make_shared<const demod_tables>(demod_tables::build(settings));
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_[key] = built;
-    return built;
+    return tables_.get_or_build(demod_key::of(settings), demod_tables::bytes_for(settings),
+                                [&] { return demod_tables::build(settings); });
 }
 
 calibration_key calibration_key::of(const sd::modulator_params& params,

@@ -4,10 +4,12 @@
 // tables (the q_k square-wave signs and the counter accumulation sign) and
 // every lane used to run its own grounded-input offset calibration.  Both
 // are pure functions of a handful of parameters, so the fast path keeps
-// them in thread-safe shared caches:
+// them in thread-safe, process-wide caches:
 //
-//  - demod_table_cache maps acquisition settings to immutable sign tables,
-//    built once per program stage and reused by every work item;
+//  - demod_table_cache::process() maps acquisition settings to immutable
+//    sign tables, built once per process (a render_once_cache: concurrent
+//    misses of one program build one table) and reused by every work item,
+//    engine and request;
 //  - calibration_memo is the process-wide memo of grounded-input
 //    calibrations, consulted only by batch_evaluator.  A calibration
 //    consumes two RNG spawns and produces rates that are a pure function
@@ -28,6 +30,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "common/render_once_cache.hpp"
 #include "common/rng.hpp"
 #include "eval/signature.hpp"
 #include "sd/modulator.hpp"
@@ -35,16 +38,44 @@
 
 namespace bistna::eval {
 
-/// Thread-safe cache of demod_tables keyed on the settings that shape them
-/// (harmonic, period counts, chopping).  Entries are immutable and shared.
+/// The settings that shape a demod_tables: harmonic, samples per period,
+/// period count and chopping.
+struct demod_key {
+    std::size_t harmonic_k = 0;
+    std::size_t n_per_period = 0;
+    std::size_t periods = 0;
+    bool chopped = false;
+
+    static demod_key of(const acquisition_settings& settings) noexcept;
+    bool operator==(const demod_key&) const noexcept = default;
+};
+
+struct demod_key_hash {
+    std::size_t operator()(const demod_key& key) const noexcept;
+};
+
+/// Thread-safe, bounded cache of immutable demod_tables, counted under
+/// eval.demod.*.
 class demod_table_cache {
 public:
+    /// The cache every batch_evaluator of the lane path consults.
+    static demod_table_cache& process();
+
+    /// Budget: the oldest tables are evicted beyond either cap.  A default
+    /// 200-period table is ~0.5 MB.
+    static constexpr std::size_t max_entries = 64;
+    static constexpr std::size_t max_bytes = std::size_t{16} << 20;
+
+    demod_table_cache();
+
     /// The tables for `settings`, built on first use.
     std::shared_ptr<const demod_tables> get(const acquisition_settings& settings);
 
+    render_once_stats stats() const { return tables_.stats(); }
+    void clear() { tables_.clear(); }
+
 private:
-    std::mutex mutex_;
-    std::unordered_map<std::uint64_t, std::shared_ptr<const demod_tables>> entries_;
+    render_once_cache<demod_key, demod_tables, demod_key_hash> tables_;
 };
 
 /// Identity of one grounded-input calibration: the bit pattern of every

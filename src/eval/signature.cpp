@@ -37,6 +37,11 @@ demod_tables demod_tables::build(const acquisition_settings& settings) {
     return tables;
 }
 
+std::size_t demod_tables::bytes_for(const acquisition_settings& settings) noexcept {
+    const std::size_t total = settings.periods * settings.n_per_period;
+    return total * (2 * sizeof(unsigned char) + 3 * sizeof(double));
+}
+
 bool demod_tables::matches(const acquisition_settings& settings) const noexcept {
     return harmonic_k == settings.harmonic_k && n_per_period == settings.n_per_period &&
            periods == settings.periods &&

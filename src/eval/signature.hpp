@@ -60,8 +60,8 @@ struct signature_result {
 /// controls of both channels -- as the modulator bank's unsigned chars and
 /// as the exact +/-1 doubles the lane-major kernels consume -- plus the
 /// counter accumulation sign (negated in the chopped second half).  A pure
-/// function of the settings, so the sweep engine builds each table once
-/// (eval::demod_table_cache) and shares it across every work item.
+/// function of the settings, so the lane path builds each table once per
+/// process (eval::demod_table_cache) and shares it across every work item.
 struct demod_tables {
     std::vector<unsigned char> q1, q2;    ///< nonzero = positive modulation
     std::vector<double> q1_sign, q2_sign; ///< the same controls as exact +/-1
@@ -72,6 +72,8 @@ struct demod_tables {
     bool chopped = false;
 
     static demod_tables build(const acquisition_settings& settings);
+    /// Heap bytes of the tables build(settings) returns.
+    static std::size_t bytes_for(const acquisition_settings& settings) noexcept;
     bool matches(const acquisition_settings& settings) const noexcept;
 };
 

@@ -127,7 +127,7 @@ private:
 
 /// A counter that also keeps a process-local running value readable
 /// without a registry -- the migration shim for the legacy ad-hoc stats
-/// structs (`stimulus_cache_stats` and friends): the old accessors read
+/// structs (`render_once_stats` and friends): the old accessors read
 /// value(), while an attached registry sees every increment under the
 /// interned name.
 class counter_cell {

@@ -1,6 +1,7 @@
 // Stimulus-record cache: render-once semantics, key correctness
-// (amplitude / settle / design changes invalidate), bit-identity of cached
-// vs. uncached renders and sweeps, and thread safety of concurrent lookups.
+// (amplitude / design changes invalidate, period counts do not), bit-identity
+// of cached vs. uncached renders, and the engine's lane path read through the
+// process-wide cache (checked as deltas of its process-wide counters).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,22 +29,26 @@ demonstrator_board make_board(gen::generator_params params = gen::generator_para
     return board;
 }
 
-stimulus_cache::record make_record(double value, std::size_t length = 4) {
+constexpr std::size_t kRecordSamples = 4;
+constexpr std::size_t kRecordBytes = kRecordSamples * sizeof(double);
+
+stimulus_cache::record make_record(double value, std::size_t length = kRecordSamples) {
     return stimulus_cache::record(length, value);
 }
 
 TEST(StimulusCache, RendersOnceThenHits) {
     stimulus_cache cache;
-    stimulus_key key{1, 2, 3, 4};
+    stimulus_key key{1, 2};
     std::size_t renders = 0;
     const auto render = [&] {
         ++renders;
         return make_record(1.5);
     };
-    const auto first = cache.get_or_render(key, render);
-    const auto second = cache.get_or_render(key, render);
+    const auto first = cache.get_or_render(key, kRecordSamples, render);
+    const auto second = cache.get_or_render(key, kRecordSamples, render);
     EXPECT_EQ(renders, 1u);
-    EXPECT_EQ(first.get(), second.get()); // literally the same record
+    EXPECT_EQ(first.owner.get(), second.owner.get()); // literally the same record
+    EXPECT_EQ(first.samples.data(), second.samples.data());
     const auto stats = cache.stats();
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, 1u);
@@ -57,84 +62,96 @@ TEST(StimulusCache, DistinctKeysRenderSeparately) {
         ++renders;
         return make_record(static_cast<double>(renders));
     };
-    (void)cache.get_or_render(stimulus_key{1, 0, 0, 0}, render);
-    (void)cache.get_or_render(stimulus_key{2, 0, 0, 0}, render);
+    (void)cache.get_or_render(stimulus_key{1, 0}, kRecordSamples, render);
+    (void)cache.get_or_render(stimulus_key{2, 0}, kRecordSamples, render);
     EXPECT_EQ(renders, 2u);
     EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(StimulusCache, EvictsOldestBeyondCapacity) {
-    stimulus_cache cache(2);
+    stimulus_cache cache(2 * kRecordBytes);
     std::size_t renders = 0;
     const auto render = [&] {
         ++renders;
         return make_record(0.0);
     };
-    (void)cache.get_or_render(stimulus_key{1, 0, 0, 0}, render);
-    (void)cache.get_or_render(stimulus_key{2, 0, 0, 0}, render);
-    (void)cache.get_or_render(stimulus_key{3, 0, 0, 0}, render); // evicts key 1
+    (void)cache.get_or_render(stimulus_key{1, 0}, kRecordSamples, render);
+    (void)cache.get_or_render(stimulus_key{2, 0}, kRecordSamples, render);
+    (void)cache.get_or_render(stimulus_key{3, 0}, kRecordSamples, render); // evicts key 1
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_EQ(cache.stats().entries, 2u);
-    (void)cache.get_or_render(stimulus_key{1, 0, 0, 0}, render); // re-render
+    EXPECT_EQ(cache.stats().bytes, 2 * kRecordBytes);
+    (void)cache.get_or_render(stimulus_key{1, 0}, kRecordSamples, render); // re-render
     EXPECT_EQ(renders, 4u);
 }
 
 TEST(StimulusCache, RenderFailureForgetsEntrySoRetrySucceeds) {
     stimulus_cache cache;
-    stimulus_key key{9, 0, 0, 0};
-    EXPECT_THROW((void)cache.get_or_render(
-                     key, []() -> stimulus_cache::record {
-                         throw configuration_error("render exploded");
-                     }),
+    stimulus_key key{9, 0};
+    EXPECT_THROW((void)cache.get_or_render(key, kRecordSamples,
+                                           []() -> stimulus_cache::record {
+                                               throw configuration_error("render exploded");
+                                           }),
                  configuration_error);
     EXPECT_EQ(cache.stats().entries, 0u);
-    const auto record = cache.get_or_render(key, [] { return make_record(2.0); });
-    EXPECT_EQ(record->front(), 2.0);
+    EXPECT_EQ(cache.stats().bytes, 0u);
+    const auto record =
+        cache.get_or_render(key, kRecordSamples, [] { return make_record(2.0); });
+    EXPECT_EQ(record.samples.front(), 2.0);
 }
 
 TEST(StimulusCache, ConcurrentSameKeyRendersExactlyOnce) {
     stimulus_cache cache;
-    stimulus_key key{5, 0, 0, 0};
+    stimulus_key key{5, 0};
     std::atomic<int> renders{0};
     const auto render = [&] {
         renders.fetch_add(1);
         return make_record(3.25, 1024);
     };
     std::vector<std::thread> workers;
-    std::vector<stimulus_cache::record_ptr> results(8);
+    std::vector<core::stimulus_view> results(8);
     for (std::size_t t = 0; t < results.size(); ++t) {
-        workers.emplace_back([&, t] { results[t] = cache.get_or_render(key, render); });
+        workers.emplace_back(
+            [&, t] { results[t] = cache.get_or_render(key, 1024, render); });
     }
     for (auto& worker : workers) {
         worker.join();
     }
     EXPECT_EQ(renders.load(), 1);
     for (const auto& result : results) {
-        ASSERT_NE(result, nullptr);
-        EXPECT_EQ(result.get(), results.front().get());
+        ASSERT_NE(result.owner, nullptr);
+        EXPECT_EQ(result.owner.get(), results.front().owner.get());
     }
 }
 
-TEST(StimulusCache, BoardKeyChangesWithAmplitudeAndSettleAndPeriodsAndDesign) {
+TEST(StimulusCache, BoardKeyChangesWithAmplitudeAndDesignNotLength) {
     auto board = make_board();
-    const auto base = board.stimulus_cache_key(200, 32);
-    EXPECT_EQ(base, board.stimulus_cache_key(200, 32)); // stable
+    const auto base = board.stimulus_cache_key();
+    EXPECT_EQ(base, board.stimulus_cache_key()); // stable
 
     board.set_amplitude(millivolt(151.0));
-    EXPECT_NE(board.stimulus_cache_key(200, 32), base) << "amplitude must invalidate";
+    EXPECT_NE(board.stimulus_cache_key(), base) << "amplitude must invalidate";
     board.set_amplitude(millivolt(150.0));
-    EXPECT_EQ(board.stimulus_cache_key(200, 32), base);
-
-    EXPECT_NE(board.stimulus_cache_key(200, 33), base) << "settle must invalidate";
-    EXPECT_NE(board.stimulus_cache_key(201, 32), base) << "periods must invalidate";
+    EXPECT_EQ(board.stimulus_cache_key(), base);
 
     auto params = gen::generator_params::ideal();
     params.seed = 2; // a different die of the same design
     auto other = demonstrator_board(params, dut::make_paper_dut(0.01, 7));
     other.set_amplitude(millivolt(150.0));
     // Ideal process draws nothing, but the fingerprint still covers the seed.
-    EXPECT_NE(other.stimulus_cache_key(200, 32), base) << "design seed must invalidate";
+    EXPECT_NE(other.stimulus_cache_key(), base) << "design seed must invalidate";
+
+    // The period counts are not part of the key: every length of one
+    // staircase is served from one entry by the prefix rule.
+    stimulus_cache cache;
+    board.set_stimulus_cache(&cache);
+    (void)board.stimulus_record(200, 32);
+    (void)board.stimulus_record(100, 33);
+    (void)board.stimulus_record(8, 0);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().hits, 2u);
+    EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 TEST(StimulusCache, CachedRenderBitIdenticalToUncached) {
@@ -143,7 +160,8 @@ TEST(StimulusCache, CachedRenderBitIdenticalToUncached) {
         auto params = ideal ? gen::generator_params::ideal() : gen::generator_params{};
         auto uncached_board = make_board(params);
         auto cached_board = make_board(params);
-        cached_board.set_stimulus_cache(std::make_shared<stimulus_cache>());
+        stimulus_cache cache;
+        cached_board.set_stimulus_cache(&cache);
 
         for (const auto path : {signal_path::calibration, signal_path::through_dut}) {
             const auto expected = uncached_board.render(tb, 8, path, 4);
@@ -155,7 +173,7 @@ TEST(StimulusCache, CachedRenderBitIdenticalToUncached) {
                 ASSERT_EQ(expected[i], second[i]) << "ideal=" << ideal << " sample " << i;
             }
         }
-        const auto stats = cached_board.shared_stimulus_cache()->stats();
+        const auto stats = cache.stats();
         EXPECT_EQ(stats.misses, 1u); // calibration + DUT paths share one staircase
         EXPECT_EQ(stats.hits, 3u);
     }
@@ -200,6 +218,15 @@ core::board_factory paper_factory() {
     };
 }
 
+/// The engine's lane path, which reads staircases through the process cache.
+core::sweep_engine_options lane_options(std::size_t threads, bool share_stimulus = true) {
+    core::sweep_engine_options options;
+    options.threads = threads;
+    options.batch_lanes = 4;
+    options.share_stimulus = share_stimulus;
+    return options;
+}
+
 core::analyzer_settings fast_settings() {
     core::analyzer_settings settings;
     settings.evaluator.modulator = sd::modulator_params::ideal();
@@ -223,34 +250,31 @@ void expect_bit_identical(const std::vector<core::frequency_point>& a,
 
 TEST(StimulusCache, SweepBitIdenticalWithAndWithoutCache) {
     const auto frequencies = core::log_spaced(hertz{200.0}, kilohertz(4.0), 6);
+    auto& process = stimulus_cache::process();
+    process.clear();
 
-    core::sweep_engine_options cached_options;
-    cached_options.threads = 2;
-    core::sweep_engine cached(paper_factory(), fast_settings(), cached_options);
+    core::sweep_engine cached(paper_factory(), fast_settings(), lane_options(2));
+    core::sweep_engine uncached(paper_factory(), fast_settings(), lane_options(2, false));
 
-    core::sweep_engine_options uncached_options;
-    uncached_options.threads = 2;
-    uncached_options.share_stimulus = false;
-    core::sweep_engine uncached(paper_factory(), fast_settings(), uncached_options);
-
+    const auto before = process.stats();
     const auto with_cache = cached.run(frequencies);
+    const auto middle = process.stats();
     const auto without_cache = uncached.run(frequencies);
+    const auto after = process.stats();
     expect_bit_identical(with_cache.points, without_cache.points);
 
     // One staircase serves the shared calibration and every point.
-    const auto stats = cached.stimulus_stats();
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.hits, frequencies.size());
-    EXPECT_EQ(uncached.stimulus_stats().misses, 0u);
+    EXPECT_EQ(middle.misses - before.misses, 1u);
+    EXPECT_EQ(middle.hits - before.hits, frequencies.size());
+    EXPECT_EQ(after.misses, middle.misses) << "share_stimulus = false must not read the cache";
+    EXPECT_EQ(after.hits, middle.hits);
 }
 
 TEST(StimulusCache, CachedSweepBitIdenticalAcrossThreadCounts) {
     const auto frequencies = core::log_spaced(hertz{200.0}, kilohertz(4.0), 6);
     std::vector<core::sweep_report> reports;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        core::sweep_engine_options options;
-        options.threads = threads;
-        core::sweep_engine engine(paper_factory(), fast_settings(), options);
+        core::sweep_engine engine(paper_factory(), fast_settings(), lane_options(threads));
         reports.push_back(engine.run(frequencies));
     }
     expect_bit_identical(reports[0].points, reports[1].points);
@@ -258,18 +282,16 @@ TEST(StimulusCache, CachedSweepBitIdenticalAcrossThreadCounts) {
 
 TEST(StimulusCache, ScreenLotUnchangedByCache) {
     const auto mask = core::spec_mask::paper_lowpass();
-    const std::size_t dice = 4;
+    const std::size_t dice = 8;
+    auto& process = stimulus_cache::process();
+    process.clear();
 
-    core::sweep_engine_options cached_options;
-    cached_options.threads = 2;
-    core::sweep_engine cached(paper_factory(), fast_settings(), cached_options);
+    core::sweep_engine cached(paper_factory(), fast_settings(), lane_options(2));
+    core::sweep_engine uncached(paper_factory(), fast_settings(), lane_options(2, false));
 
-    core::sweep_engine_options uncached_options;
-    uncached_options.threads = 2;
-    uncached_options.share_stimulus = false;
-    core::sweep_engine uncached(paper_factory(), fast_settings(), uncached_options);
-
+    const auto before = process.stats();
     const auto with_cache = cached.screen_batch(mask, dice, /*first_seed=*/3);
+    const auto after = process.stats();
     const auto without_cache = uncached.screen_batch(mask, dice, /*first_seed=*/3);
     ASSERT_EQ(with_cache.size(), without_cache.size());
     for (std::size_t die = 0; die < dice; ++die) {
@@ -282,9 +304,10 @@ TEST(StimulusCache, ScreenLotUnchangedByCache) {
         }
     }
     // All dice share the same generator design here, so the whole lot needs
-    // exactly one staircase render.
-    EXPECT_EQ(cached.stimulus_stats().misses, 1u);
-    EXPECT_GT(cached.stimulus_stats().hits, 0u);
+    // exactly one staircase render, even with two lane groups in flight.
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_GT(after.hits - before.hits, 0u);
+    EXPECT_EQ(process.stats().misses, after.misses);
 }
 
 } // namespace

@@ -127,7 +127,7 @@ TEST(ShardIntegration, ScreeningLotExampleStoreMatchesCoordinator) {
     // The example streams its --store file with production-default
     // settings; a manifest with the same defaults run through the shard
     // fleet must produce the identical file.  Skipped when the example
-    // binary is not part of this build (sanitizer CI builds examples OFF).
+    // binary is not part of this build (BISTNA_BUILD_EXAMPLES=OFF).
     const auto example = std::filesystem::read_symlink("/proc/self/exe")
                              .parent_path() /
                          "screening_lot";
