@@ -17,7 +17,15 @@
 //     noise streams deterministically per render -- both configs are
 //     checked);
 //   * a fresh engine per request -- the daemon's shape -- must render the
-//     staircase once for the whole run, not once per engine.
+//     staircase once for the whole run, not once per engine;
+//   * the scalar path (batch_lanes = 1, the default) reads through its
+//     job's own share instead: the sweep must render once there too, and
+//     its timings are printed (not gated);
+//   * a lane-path sweep whose staircase exceeds the process cache's byte
+//     budget (M > 16k periods) must leave the process cache untouched and
+//     still render once, through the job's share; its demod-table builds,
+//     which the process cache serves but does not retain at that length,
+//     are printed so their cost stays visible.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -30,6 +38,7 @@
 #include "core/sweep_engine.hpp"
 #include "dut/filters.hpp"
 #include "gen/generator.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace {
 
@@ -62,12 +71,42 @@ bool points_identical(const std::vector<core::frequency_point>& a,
 
 constexpr std::size_t kLanes = 8;
 
-core::sweep_engine_options lane_options(bool share_stimulus) {
+core::sweep_engine_options lane_options(bool share_stimulus, std::size_t lanes = kLanes) {
     core::sweep_engine_options options;
     options.threads = 4; // parallel, but deterministic w.r.t. the host
-    options.batch_lanes = kLanes;
+    options.batch_lanes = lanes;
     options.share_stimulus = share_stimulus;
     return options;
+}
+
+/// One sweep with a telemetry registry attached, so the job's own
+/// staircase share (engine.stimulus_share.*) and the process caches are
+/// all counted.
+struct counted_sweep {
+    core::sweep_report report;
+    std::uint64_t process_renders = 0; ///< engine.stimulus.misses
+    std::uint64_t share_renders = 0;   ///< engine.stimulus_share.misses
+    std::uint64_t share_reuses = 0;    ///< engine.stimulus_share.hits
+    std::uint64_t table_builds = 0;    ///< eval.demod.misses
+};
+
+counted_sweep run_counted(const core::board_factory& factory,
+                          const core::analyzer_settings& settings,
+                          const std::vector<hertz>& frequencies,
+                          const core::sweep_engine_options& options) {
+    telemetry::metric_registry registry;
+    counted_sweep out;
+    {
+        telemetry::registry_scope scope(registry);
+        core::sweep_engine engine(factory, settings, options);
+        out.report = engine.run(frequencies);
+    }
+    const auto snapshot = registry.snapshot();
+    out.process_renders = snapshot.counter("engine.stimulus.misses");
+    out.share_renders = snapshot.counter("engine.stimulus_share.misses");
+    out.share_reuses = snapshot.counter("engine.stimulus_share.hits");
+    out.table_builds = snapshot.counter("eval.demod.misses");
+    return out;
 }
 
 struct sweep_timing {
@@ -169,12 +208,59 @@ int main() {
               << "  outputs bit-identical: " << (per_request_identical ? "YES" : "NO")
               << "\n";
 
+    // --- The scalar path (batch_lanes = 1): the job's own share, never the
+    // process cache.  Timed best of 3, printed only.
+    double scalar_seconds[2] = {0.0, 0.0};
+    counted_sweep scalar;
+    for (const bool share : {false, true}) {
+        for (int i = 0; i < 3; ++i) {
+            auto run = run_counted(realistic, settings, frequencies, lane_options(share, 1));
+            double& best = scalar_seconds[share ? 1 : 0];
+            if (i == 0 || run.report.elapsed_seconds < best) {
+                best = run.report.elapsed_seconds;
+            }
+            if (share) {
+                scalar = std::move(run);
+            }
+        }
+    }
+    const bool scalar_identical = points_identical(scalar.report.points,
+                                                   uncached.report.points);
+    std::cout << "\nScalar path (batch_lanes = 1), same batch, best of 3:\n"
+              << "  share off: " << scalar_seconds[0] << " s\n"
+              << "  share on:  " << scalar_seconds[1] << " s (" << scalar.share_renders
+              << " render(s) and " << scalar.share_reuses << " reuses in the job's share, "
+              << scalar.process_renders << " in the process cache)\n"
+              << "  speedup: "
+              << (scalar_seconds[1] > 0.0 ? scalar_seconds[0] / scalar_seconds[1] : 0.0)
+              << "x\n"
+              << "  outputs bit-identical to the lane path: "
+              << (scalar_identical ? "YES" : "NO") << "\n";
+
+    // --- A staircase over the process budget: served through the job's
+    // share on the lane path, so the sweep still renders it once.
+    core::analyzer_settings long_settings = settings;
+    long_settings.periods =
+        core::stimulus_cache::process_budget_bytes / (sim::timebase::oversampling_ratio *
+                                                      sizeof(double)) + 64;
+    const auto long_frequencies = core::log_spaced(hertz{100.0}, kilohertz(20.0), 2 * kLanes);
+    const auto long_sweep =
+        run_counted(realistic, long_settings, long_frequencies, lane_options(true));
+    std::cout << "\nOver-budget record, " << long_frequencies.size() << "-point Bode batch (M = "
+              << long_settings.periods << ", 4 threads x " << kLanes << " lanes):\n"
+              << "  " << long_sweep.report.elapsed_seconds << " s, "
+              << long_sweep.share_renders << " staircase render(s) in the job's share, "
+              << long_sweep.process_renders << " in the process cache\n"
+              << "  " << long_sweep.table_builds
+              << " demod-table build(s) (over the table budget: one per lane group)\n";
+
     bench::footnote("Clock normalization means the staircase is the same discrete "
                     "sequence at every master clock; caching it changes nothing but "
                     "the wall clock.");
 
     bool failed = false;
-    if (!ideal_identical || !realistic_identical || !per_request_identical) {
+    if (!ideal_identical || !realistic_identical || !per_request_identical ||
+        !scalar_identical) {
         std::cerr << "FAILURE: cached sweep diverged from uncached reference\n";
         failed = true;
     }
@@ -186,6 +272,19 @@ int main() {
     if (engine_renders != 1) {
         std::cerr << "FAILURE: expected one staircase render across " << requests
                   << " fresh engines, got " << engine_renders << "\n";
+        failed = true;
+    }
+    if (scalar.share_renders != 1 || scalar.process_renders != 0) {
+        std::cerr << "FAILURE: expected the scalar sweep to render once in its job's "
+                  << "share and never in the process cache, got " << scalar.share_renders
+                  << " and " << scalar.process_renders << "\n";
+        failed = true;
+    }
+    if (long_sweep.share_renders != 1 || long_sweep.process_renders != 0) {
+        std::cerr << "FAILURE: expected the over-budget sweep to render once in its job's "
+                  << "share and never in the process cache, got "
+                  << long_sweep.share_renders << " and " << long_sweep.process_renders
+                  << "\n";
         failed = true;
     }
     if (speedup < 1.5) {

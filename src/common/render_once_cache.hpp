@@ -1,8 +1,9 @@
 // Render-once, byte-bounded cache (extension).
 //
-// The one cache behind the process-wide staircase cache
-// (core::stimulus_cache), the process-wide demodulation-table cache
-// (eval::demod_table_cache) and the sweep engine's per-batch render share.
+// The one cache behind the staircase caches (core::stimulus_cache: the
+// process-wide one and each sweep-engine job's own share), the
+// process-wide demodulation-table cache (eval::demod_table_cache) and the
+// sweep engine's per-batch render share.
 // Every value is a pure function of its key, so:
 //
 //  - Render once.  The first caller of a key builds the value; concurrent

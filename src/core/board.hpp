@@ -74,8 +74,9 @@ public:
 
     /// Attach (or detach, with nullptr) a stimulus cache -- in practice
     /// stimulus_cache::process(), which the sweep engine attaches to its
-    /// lane-path boards.  Boards of different generator designs never
-    /// collide because the key includes the design fingerprint.
+    /// lane-path boards, or a job's own share on the scalar path.  Boards
+    /// of different generator designs never collide because the key
+    /// includes the design fingerprint.
     void set_stimulus_cache(stimulus_cache* cache) noexcept { stimulus_cache_ = cache; }
 
     /// The cache key of this board's staircase in its current

@@ -1,7 +1,5 @@
 #include "core/stimulus_cache.hpp"
 
-#include <limits>
-
 #include "common/error.hpp"
 #include "common/hash.hpp"
 
@@ -19,8 +17,9 @@ stimulus_cache& stimulus_cache::process() {
     return cache;
 }
 
-stimulus_cache::stimulus_cache(std::size_t max_bytes)
-    : records_(max_bytes, std::numeric_limits<std::size_t>::max(), "engine.stimulus") {}
+stimulus_cache::stimulus_cache(std::size_t max_bytes, std::size_t max_entries,
+                               const std::string& metric_prefix)
+    : records_(max_bytes, max_entries, metric_prefix) {}
 
 stimulus_view stimulus_cache::get_or_render(const stimulus_key& key, std::size_t samples,
                                             const std::function<record()>& render) {

@@ -12,15 +12,20 @@
 //
 // It is a render_once_cache (common/render_once_cache.hpp): one render per
 // key even under concurrent misses, FIFO eviction by bytes, counts under
-// engine.stimulus.*.  Only the sweep engine's lane path reads through it;
-// the scalar batch_lanes = 1 path renders fresh and stays the oracle.
+// engine.stimulus.*.  Only the sweep engine's lane path reads through the
+// process cache; the scalar batch_lanes = 1 path reads through a share
+// owned by its job (a second instance, counted under
+// engine.stimulus_share.*), so it never sees what other jobs rendered and
+// stays the independent oracle.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/render_once_cache.hpp"
@@ -62,7 +67,11 @@ public:
     /// The cache every lane-path board of the process reads through.
     static stimulus_cache& process();
 
-    explicit stimulus_cache(std::size_t max_bytes = process_budget_bytes);
+    /// A cache holding at most `max_bytes` of records in at most
+    /// `max_entries` entries, counted under `<metric_prefix>.*`.
+    explicit stimulus_cache(std::size_t max_bytes = process_budget_bytes,
+                            std::size_t max_entries = std::numeric_limits<std::size_t>::max(),
+                            const std::string& metric_prefix = "engine.stimulus");
 
     /// The first `samples` samples of the record for `key`.  On a miss
     /// `render` runs exactly once and must return at least `samples`

@@ -61,6 +61,15 @@ struct render_share
 
 namespace {
 
+/// A job's own staircase share (see sweep_engine::stairs_for), counted
+/// under engine.stimulus_share.*: unbounded in bytes, capped in entries,
+/// alive as long as some task closure still references the job.
+struct job_stairs : stimulus_cache {
+    explicit job_stairs(std::size_t max_entries)
+        : stimulus_cache(std::numeric_limits<std::size_t>::max(), max_entries,
+                         "engine.stimulus_share") {}
+};
+
 /// Render one acquisition stage for one item, deduplicated through the
 /// batch's render share when the item carries a render key: identical
 /// boards produce bit-identical records (a render is a pure function of
@@ -159,16 +168,19 @@ struct stage_records {
 /// rendered by the one stage runner (render()).
 class lane_group {
 public:
-    /// `render_keys` (empty, or one per lane) tag acquisition items whose
-    /// boards are render-identical; nonzero keys resolve through
-    /// `shared_records` (see render_stage).
+    /// Every staircase is requested at least `stair_periods` long: the
+    /// program's longest stage when staircases are cached, so the first
+    /// stage renders the record every later stage reads a prefix of (0
+    /// requests each stage's own length).  `render_keys` (empty, or one per
+    /// lane) tag acquisition items whose boards are render-identical;
+    /// nonzero keys resolve through `shared_records` (see render_stage).
     lane_group(std::vector<demonstrator_board> boards,
                std::vector<eval::evaluator_config> configs, const analyzer_settings& settings,
-               std::vector<std::uint64_t> render_keys = {},
+               std::size_t stair_periods, std::vector<std::uint64_t> render_keys = {},
                render_share* shared_records = nullptr)
         : boards_(std::move(boards)), evaluators_(std::move(configs)), settings_(settings),
-          scratch_(worker_arena()), render_keys_(std::move(render_keys)),
-          shared_records_(shared_records) {
+          scratch_(worker_arena()), stair_periods_(stair_periods),
+          render_keys_(std::move(render_keys)), shared_records_(shared_records) {
         evaluators_.set_shared_resources(&eval::demod_table_cache::process(), &scratch_);
         all_.resize(boards_.size());
         std::iota(all_.begin(), all_.end(), std::size_t{0});
@@ -277,7 +289,9 @@ private:
 
         std::vector<stimulus_view> stairs(lanes);
         for (std::size_t i = 0; i < lanes; ++i) {
-            stairs[i] = boards_[active[i]].stimulus_record(periods, settings_.settle_periods);
+            stairs[i] = boards_[active[i]].stimulus_record(std::max(periods, stair_periods_),
+                                                           settings_.settle_periods);
+            stairs[i].samples = stairs[i].samples.first(keep_from + tail);
         }
         // Every lane requests the same length, so one start pointer means
         // one span.
@@ -312,6 +326,7 @@ private:
     eval::batch_evaluator evaluators_;
     const analyzer_settings& settings_;
     arena& scratch_;
+    std::size_t stair_periods_;
     std::vector<std::uint64_t> render_keys_;
     render_share* shared_records_;
     std::vector<std::size_t> all_;
@@ -335,14 +350,31 @@ sweep_engine::sweep_engine(board_factory factory, analyzer_settings settings,
                             : std::make_shared<job_queue>(options_.threads);
 }
 
-stimulus_cache* sweep_engine::lane_stimulus_cache() const noexcept {
-    return options_.share_stimulus && options_.batch_lanes > 1 ? &stimulus_cache::process()
-                                                               : nullptr;
+std::size_t sweep_engine::longest_periods(bool thd_stage) const noexcept {
+    return thd_stage ? std::max(settings_.periods, settings_.distortion_periods)
+                     : settings_.periods;
 }
 
-demonstrator_board sweep_engine::make_board(std::uint64_t seed) const {
+stimulus_cache* sweep_engine::stairs_for(stimulus_cache& job_stairs,
+                                         bool thd_stage) const noexcept {
+    if (!options_.share_stimulus) {
+        return nullptr;
+    }
+    const std::size_t longest_bytes = (settings_.settle_periods + longest_periods(thd_stage)) *
+                                      sim::timebase::oversampling_ratio * sizeof(double);
+    return options_.batch_lanes > 1 && longest_bytes <= stimulus_cache::process_budget_bytes
+               ? &stimulus_cache::process()
+               : &job_stairs;
+}
+
+std::size_t sweep_engine::job_stairs_entries() const noexcept {
+    return std::max<std::size_t>(
+        64, resolved_threads() * std::max<std::size_t>(1, options_.batch_lanes));
+}
+
+demonstrator_board sweep_engine::make_board(std::uint64_t seed, stimulus_cache* stairs) const {
     demonstrator_board board = factory_(seed);
-    board.set_stimulus_cache(lane_stimulus_cache());
+    board.set_stimulus_cache(stairs);
     return board;
 }
 
@@ -439,17 +471,23 @@ namespace {
 /// Job-lifetime state of a submitted Bode batch, shared by every task
 /// closure (the handle may outlive the submitting frame).
 struct bode_job {
+    bode_job(std::vector<hertz> frequencies_, std::uint64_t board_seed_,
+             std::size_t stairs_entries)
+        : frequencies(std::move(frequencies_)), board_seed(board_seed_),
+          stairs(stairs_entries) {}
+
     std::vector<hertz> frequencies;
     std::uint64_t board_seed = 0;
     std::optional<stimulus_calibration> calibration;
+    job_stairs stairs;
 };
 
 } // namespace
 
 frequency_point sweep_engine::bode_point(hertz f, std::uint64_t board_seed,
                                          const std::optional<stimulus_calibration>& calibration,
-                                         std::size_t index) {
-    demonstrator_board board = make_board(board_seed);
+                                         std::size_t index, stimulus_cache* stairs) {
+    demonstrator_board board = make_board(board_seed, stairs);
     analyzer_settings point_settings = settings_;
     point_settings.evaluator.seed = sweep_item_seed(options_.base_seed, index + 1);
     network_analyzer analyzer(board, point_settings);
@@ -462,7 +500,8 @@ frequency_point sweep_engine::bode_point(hertz f, std::uint64_t board_seed,
 void sweep_engine::bode_group(const std::vector<hertz>& frequencies,
                               std::uint64_t board_seed,
                               const stimulus_calibration& calibration, std::size_t first,
-                              std::size_t count, frequency_point* out) {
+                              std::size_t count, frequency_point* out,
+                              stimulus_cache* stairs) {
     // Lockstep lanes: one board per point, all drawn with the same seed;
     // the lanes differ only in timebase, so one banked pass renders them
     // all.  Per-point seeds and arithmetic match the scalar path exactly.
@@ -472,11 +511,11 @@ void sweep_engine::bode_group(const std::vector<hertz>& frequencies,
     std::vector<sim::timebase> timebases;
     timebases.reserve(count);
     for (std::size_t l = 0; l < count; ++l) {
-        boards.push_back(make_board(board_seed));
+        boards.push_back(make_board(board_seed, stairs));
         configs[l].seed = sweep_item_seed(options_.base_seed, first + l + 1);
         timebases.push_back(sim::timebase::for_wave_frequency(frequencies[first + l]));
     }
-    lane_group group(std::move(boards), std::move(configs), settings_);
+    lane_group group(std::move(boards), std::move(configs), settings_, 0);
     const auto outputs = group.fundamental(group.all(), timebases);
     for (std::size_t l = 0; l < count; ++l) {
         out[l] = group.point(l, frequencies[first + l], calibration, outputs[l]);
@@ -493,34 +532,34 @@ sweep_engine::submit_bode(std::vector<hertz> frequencies, std::uint64_t board_se
     // performing it with the batch's base seed keeps it independent of the
     // per-point seeds and of scheduling.  It runs here, on the submitting
     // thread, so every streamed point is a pure per-index function.
-    std::optional<stimulus_calibration> shared_calibration;
+    auto job =
+        std::make_shared<bode_job>(std::move(frequencies), board_seed, job_stairs_entries());
+    stimulus_cache* stairs = stairs_for(job->stairs, false);
     if (options_.share_calibration && !settings_.recalibrate_per_point) {
-        demonstrator_board board = make_board(board_seed);
+        demonstrator_board board = make_board(board_seed, stairs);
         analyzer_settings calibration_settings = settings_;
         calibration_settings.evaluator.seed = sweep_item_seed(options_.base_seed, 0);
         network_analyzer analyzer(board, calibration_settings);
-        shared_calibration = analyzer.calibrate();
+        job->calibration = analyzer.calibrate();
     }
 
     const std::size_t lanes = std::max<std::size_t>(1, options_.batch_lanes);
     // Lockstep lanes apply only with a shared calibration
     // (recalibrate_per_point falls back to the scalar path).
-    const bool lockstep = lanes > 1 && shared_calibration.has_value();
-    auto job = std::make_shared<const bode_job>(
-        bode_job{std::move(frequencies), board_seed, std::move(shared_calibration)});
+    const bool lockstep = lanes > 1 && job->calibration.has_value();
     return queue_->submit<frequency_point>(
         job->frequencies.size(), lockstep ? lanes : 1,
-        [this, job, lockstep](std::size_t first, std::size_t count, frequency_point* out,
-                              const job_progress& progress) {
+        [this, job, stairs, lockstep](std::size_t first, std::size_t count,
+                                      frequency_point* out, const job_progress& progress) {
             if (lockstep) {
                 bode_group(job->frequencies, job->board_seed, *job->calibration, first,
-                           count, out);
+                           count, out, stairs);
                 progress.items_done(count);
                 return;
             }
             for (std::size_t l = 0; l < count; ++l) {
                 out[l] = bode_point(job->frequencies[first + l], job->board_seed,
-                                    job->calibration, first + l);
+                                    job->calibration, first + l, stairs);
                 progress.items_done();
             }
         },
@@ -562,9 +601,15 @@ namespace {
 
 /// Job-lifetime state of a submitted screening lot.
 struct screening_job {
+    screening_job(const spec_mask& mask_, const screening_options& screening_,
+                  std::uint64_t first_seed_, std::size_t stairs_entries)
+        : mask(mask_), screening(screening_), first_seed(first_seed_),
+          stairs(stairs_entries) {}
+
     spec_mask mask;
     screening_options screening;
     std::uint64_t first_seed = 0;
+    job_stairs stairs;
 };
 
 } // namespace
@@ -577,31 +622,32 @@ sweep_engine::submit_screening(const spec_mask& mask, std::size_t dice,
     BISTNA_EXPECTS(dice > 0, "batch must contain at least one die");
     BISTNA_EXPECTS(!mask.limits.empty(), "spec mask has no limits");
 
-    auto job = std::make_shared<const screening_job>(
-        screening_job{mask, screening, first_seed});
+    auto job = std::make_shared<screening_job>(mask, screening, first_seed,
+                                               job_stairs_entries());
+    stimulus_cache* stairs = stairs_for(job->stairs, screening.measure_distortion);
     const std::size_t lanes = std::max<std::size_t>(1, options_.batch_lanes);
     if (lanes > 1) {
         // Lockstep lanes: each task screens a contiguous group of dice
         // through one SoA modulator bank (threads x lanes dice in flight).
         return queue_->submit<screening_report>(
             dice, lanes,
-            [this, job](std::size_t first, std::size_t count, screening_report* out,
-                        const job_progress& progress) {
+            [this, job, stairs](std::size_t first, std::size_t count, screening_report* out,
+                                const job_progress& progress) {
                 screen_group(job->mask, job->screening, job->first_seed + first, count, out,
-                             progress);
+                             stairs, progress);
             },
             std::move(on_report), std::move(on_published));
     }
     return queue_->submit<screening_report>(
         dice, 1,
-        [this, job](std::size_t first, std::size_t count, screening_report* out,
-                    const job_progress& progress) {
+        [this, job, stairs](std::size_t first, std::size_t count, screening_report* out,
+                            const job_progress& progress) {
             for (std::size_t l = 0; l < count; ++l) {
                 // Same per-die construction as the sequential
                 // core::screen_lot: the die's identity comes solely from its
                 // factory seed, so the batch is bit-identical to the serial
                 // loop.
-                demonstrator_board board = make_board(job->first_seed + first + l);
+                demonstrator_board board = make_board(job->first_seed + first + l, stairs);
                 network_analyzer analyzer(board, settings_);
                 out[l] = screen(analyzer, job->mask, job->screening);
                 progress.items_done();
@@ -619,17 +665,18 @@ std::vector<screening_report> sweep_engine::screen_batch(const spec_mask& mask,
 
 void sweep_engine::screen_group(const spec_mask& mask, const screening_options& screening,
                                 std::uint64_t first_seed, std::size_t count,
-                                screening_report* reports,
+                                screening_report* reports, stimulus_cache* stairs,
                                 const job_progress& progress) {
     BISTNA_EXPECTS(count > 0, "lane group must contain at least one die");
     std::vector<demonstrator_board> boards;
     boards.reserve(count);
     for (std::size_t l = 0; l < count; ++l) {
-        boards.push_back(make_board(first_seed + l));
+        boards.push_back(make_board(first_seed + l, stairs));
     }
     lane_group group(std::move(boards),
                      std::vector<eval::evaluator_config>(count, settings_.evaluator),
-                     settings_);
+                     settings_,
+                     stairs != nullptr ? longest_periods(screening.measure_distortion) : 0);
 
     // Stage 1 -- the stimulus self-test through the calibration path.
     const auto inputs = group.calibrate();
@@ -707,14 +754,19 @@ eval::sample_source as_shared_source(record_ptr record) {
 /// long as some task closure still references the job.
 struct acquisition_job {
     acquisition_job(std::vector<core::sweep_engine::acquisition_item> items_,
-                    core::sweep_engine::acquisition_program program_)
+                    core::sweep_engine::acquisition_program program_,
+                    std::size_t stairs_entries)
         : items(std::move(items_)), program(std::move(program_)),
           shared_records(
-              std::max<std::size_t>(64, 2 * (program.frequencies.size() + 2))) {}
+              std::max<std::size_t>(64, 2 * (program.frequencies.size() + 2))),
+          stairs(stairs_entries) {}
+
+    bool thd_stage() const noexcept { return program.distortion_max_harmonic >= 2; }
 
     std::vector<core::sweep_engine::acquisition_item> items;
     core::sweep_engine::acquisition_program program;
     render_share shared_records; ///< thread-safe render-once share
+    job_stairs stairs;
 };
 
 } // namespace
@@ -728,27 +780,29 @@ sweep_engine::submit_acquisition(std::vector<acquisition_item> items,
     BISTNA_EXPECTS(!program.frequencies.empty(),
                    "acquisition program must measure at least one frequency");
 
-    auto job = std::make_shared<acquisition_job>(std::move(items), std::move(program));
+    auto job = std::make_shared<acquisition_job>(std::move(items), std::move(program),
+                                                 job_stairs_entries());
+    stimulus_cache* stairs = stairs_for(job->stairs, job->thd_stage());
     const std::size_t count = job->items.size();
     const std::size_t lanes = std::max<std::size_t>(1, options_.batch_lanes);
     if (lanes > 1) {
         return queue_->submit<acquisition_result>(
             count, lanes,
-            [this, job](std::size_t first, std::size_t n, acquisition_result* out,
-                        const job_progress& progress) {
-                acquire_group(job->items, job->program, first, n, out,
-                              job->shared_records);
+            [this, job, stairs](std::size_t first, std::size_t n, acquisition_result* out,
+                                const job_progress& progress) {
+                acquire_group(job->items, job->program, first, n, out, job->shared_records,
+                              stairs);
                 progress.items_done(n);
             },
             std::move(on_result), std::move(on_published));
     }
     return queue_->submit<acquisition_result>(
         count, 1,
-        [this, job](std::size_t first, std::size_t n, acquisition_result* out,
-                    const job_progress& progress) {
+        [this, job, stairs](std::size_t first, std::size_t n, acquisition_result* out,
+                            const job_progress& progress) {
             for (std::size_t l = 0; l < n; ++l) {
                 out[l] = acquire_scalar(job->items[first + l], job->program,
-                                        job->shared_records);
+                                        job->shared_records, stairs);
                 progress.items_done();
             }
         },
@@ -762,8 +816,9 @@ std::vector<sweep_engine::acquisition_result> sweep_engine::acquire(
 
 sweep_engine::acquisition_result sweep_engine::acquire_scalar(
     const acquisition_item& item, const acquisition_program& program,
-    render_share& shared_records) {
+    render_share& shared_records, stimulus_cache* stairs) {
     demonstrator_board board = item.make_board();
+    board.set_stimulus_cache(stairs);
     // The plain per-item evaluator, driven through exactly the call
     // sequence the batched path runs in lockstep: offset calibration on
     // first use, one fundamental acquisition for the calibration stage and
@@ -813,7 +868,7 @@ sweep_engine::acquisition_result sweep_engine::acquire_scalar(
 void sweep_engine::acquire_group(const std::vector<acquisition_item>& items,
                                  const acquisition_program& program, std::size_t first,
                                  std::size_t count, acquisition_result* results,
-                                 render_share& shared_records) {
+                                 render_share& shared_records, stimulus_cache* stairs) {
     BISTNA_EXPECTS(count > 0, "lane group must contain at least one item");
 
     std::vector<demonstrator_board> boards;
@@ -824,11 +879,13 @@ void sweep_engine::acquire_group(const std::vector<acquisition_item>& items,
     render_keys.reserve(count);
     for (std::size_t l = 0; l < count; ++l) {
         boards.push_back(items[first + l].make_board());
-        boards.back().set_stimulus_cache(lane_stimulus_cache());
+        boards.back().set_stimulus_cache(stairs);
         configs.push_back(items[first + l].evaluator);
         render_keys.push_back(items[first + l].render_key);
     }
+    const bool thd_stage = program.distortion_max_harmonic >= 2;
     lane_group group(std::move(boards), std::move(configs), settings_,
+                     stairs != nullptr ? longest_periods(thd_stage) : 0,
                      std::move(render_keys), &shared_records);
 
     // Stage 1 -- calibration-path characterization (the scalar calibrate()).
@@ -851,7 +908,7 @@ void sweep_engine::acquire_group(const std::vector<acquisition_item>& items,
     }
 
     // Stage 3 -- optional distortion (the scalar measure_distortion).
-    if (program.distortion_max_harmonic >= 2) {
+    if (thd_stage) {
         const hertz f = program.distortion_f.value > 0.0 ? program.distortion_f
                                                          : program.frequencies.front();
         const auto tb = sim::timebase::for_wave_frequency(f);

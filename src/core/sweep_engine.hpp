@@ -64,12 +64,15 @@ struct sweep_engine_options {
     /// point's analyzer (the paper's one-time-calibration claim); when false
     /// each point re-runs the calibration path itself.
     bool share_calibration = true;
-    /// Read every lane-path staircase through the process-wide
-    /// stimulus_cache::process(): the clock-normalized staircase is then
-    /// rendered once per (design, amplitude) for the whole process and
-    /// shorter records are served as prefixes of the longest one.  Applies
-    /// only when batch_lanes > 1; the scalar path always renders fresh.
-    /// Bit-identical either way.
+    /// Render each clock-normalized staircase once and reuse it.  On the
+    /// lane path (batch_lanes > 1) staircases are read through the
+    /// process-wide stimulus_cache::process(): rendered once per
+    /// (design, amplitude) for the whole process, every stage served as a
+    /// prefix of the program's longest record.  The scalar path -- and a
+    /// lane-path program whose longest record exceeds the process budget --
+    /// reads through a share owned by its job instead, so reuse spans the
+    /// job's points, dice or items and nothing else.  Bit-identical either
+    /// way.
     bool share_stimulus = true;
     /// Dice (or Bode points, or acquisition items) evaluated in lockstep
     /// per work item: one banked DUT render and one SoA modulator bank per
@@ -255,19 +258,29 @@ public:
     sweep_stats stats() const;
 
 private:
-    /// Build the work item's board, reading its staircase through the
-    /// process cache on the lane path.
-    demonstrator_board make_board(std::uint64_t seed) const;
+    /// Build the work item's board, reading its staircase through `stairs`
+    /// (see stairs_for; null renders fresh).
+    demonstrator_board make_board(std::uint64_t seed, stimulus_cache* stairs) const;
 
-    /// stimulus_cache::process() when lane-path boards share staircases,
-    /// else null (batch_lanes = 1 or share_stimulus off).
-    stimulus_cache* lane_stimulus_cache() const noexcept;
+    /// Periods of the longest record a program reads: the fundamental
+    /// stages' periods, or distortion_periods too with a THD stage.
+    std::size_t longest_periods(bool thd_stage) const noexcept;
+
+    /// The staircase cache a job's boards read through: the process-wide
+    /// one on the lane path when the program's longest staircase fits its
+    /// budget, else `job_stairs` (the job's own share); null with
+    /// share_stimulus off.
+    stimulus_cache* stairs_for(stimulus_cache& job_stairs, bool thd_stage) const noexcept;
+
+    /// Entry cap of a job's own staircase share: every item in flight
+    /// (threads x batch_lanes), at least 64.
+    std::size_t job_stairs_entries() const noexcept;
 
     /// One Bode point on the scalar analyzer path (the per-item unit of a
     /// submitted Bode job without lockstep lanes).
     frequency_point bode_point(hertz f, std::uint64_t board_seed,
                                const std::optional<stimulus_calibration>& calibration,
-                               std::size_t index);
+                               std::size_t index, stimulus_cache* stairs);
 
     // The three lane-group shapes below run the scalar program in
     // lockstep over one stage runner (sweep_engine.cpp): every stage
@@ -280,7 +293,7 @@ private:
     /// points written to out[0..count).  The lanes differ only in timebase.
     void bode_group(const std::vector<hertz>& frequencies, std::uint64_t board_seed,
                     const stimulus_calibration& calibration, std::size_t first,
-                    std::size_t count, frequency_point* out);
+                    std::size_t count, frequency_point* out, stimulus_cache* stairs);
 
     /// Batched-lane screening of dice [first_seed, first_seed + count),
     /// reports written to reports[0..count).  Bit-identical per die to
@@ -290,7 +303,7 @@ private:
     /// exactly like the scalar diagnostic path).
     void screen_group(const spec_mask& mask, const screening_options& screening,
                       std::uint64_t first_seed, std::size_t count,
-                      screening_report* reports,
+                      screening_report* reports, stimulus_cache* stairs,
                       const job_progress& progress = {});
 
     /// Lockstep acquisition of items [first, first + count) of an acquire()
@@ -299,7 +312,7 @@ private:
     void acquire_group(const std::vector<acquisition_item>& items,
                        const acquisition_program& program, std::size_t first,
                        std::size_t count, acquisition_result* results,
-                       render_share& shared_records);
+                       render_share& shared_records, stimulus_cache* stairs);
 
     /// Autotune probe (constructor helper): time candidate
     /// {threads, batch_lanes} points and adopt the fastest into options_.
@@ -310,7 +323,7 @@ private:
     /// would issue.
     acquisition_result acquire_scalar(const acquisition_item& item,
                                       const acquisition_program& program,
-                                      render_share& shared_records);
+                                      render_share& shared_records, stimulus_cache* stairs);
 
     board_factory factory_;
     analyzer_settings settings_;

@@ -2,7 +2,9 @@
 // serves every shorter request as a prefix span, stays within its byte
 // budget by FIFO eviction, renders once under a concurrent herd, and is
 // read only by the engine's lane path -- a batch_lanes = 1 engine leaves
-// every process-wide cache counter where it was.
+// every process-wide cache counter where it was and reuses staircases
+// within its job only.  A lane program renders each design once for all
+// its stages, and a record over the process budget is kept by its job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +22,7 @@
 #include "core/sweep_engine.hpp"
 #include "dut/filters.hpp"
 #include "eval/acquire_plan.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace {
 
@@ -291,6 +294,94 @@ TEST(ProcessStimulusCache, FreshLaneEnginePerRequestRendersNothingNew) {
         for (std::size_t i = 0; i < first[die].limits.size(); ++i) {
             EXPECT_EQ(first[die].limits[i].measured_db, second[die].limits[i].measured_db);
         }
+    }
+}
+
+TEST(ProcessStimulusCache, LaneProgramWithThdRendersEachDesignOnce) {
+    // The first stage requests the program's longest staircase, so the
+    // fundamental and THD stages read prefixes of it: one render per design
+    // (every die shares the ideal generator here).
+    auto& process = stimulus_cache::process();
+    auto engine = make_engine(4);
+    core::screening_options screening;
+    screening.measure_distortion = true;
+    process.clear();
+    auto before = process.stats();
+    (void)engine.screen_batch(core::spec_mask::paper_lowpass(), 8, 3, screening);
+    EXPECT_EQ(process.stats().misses - before.misses, 1u);
+
+    std::vector<core::sweep_engine::acquisition_item> items(3);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        items[i].make_board = [i] { return paper_factory()(40 + i); };
+        items[i].evaluator = calibrated_settings().evaluator;
+        items[i].evaluator.seed = core::sweep_item_seed(11, i);
+    }
+    core::sweep_engine::acquisition_program program;
+    program.frequencies = {hertz{500.0}, hertz{2000.0}};
+    program.distortion_max_harmonic = 3;
+    process.clear();
+    before = process.stats();
+    (void)engine.acquire(items, program);
+    EXPECT_EQ(process.stats().misses - before.misses, 1u);
+}
+
+/// Staircase renders and reuses in the jobs' own shares while `run` runs.
+template <class Run>
+std::pair<std::uint64_t, std::uint64_t> job_share_counts(Run&& run) {
+    telemetry::metric_registry registry;
+    {
+        telemetry::registry_scope scope(registry);
+        run();
+    }
+    const auto snapshot = registry.snapshot();
+    return {snapshot.counter("engine.stimulus_share.misses"),
+            snapshot.counter("engine.stimulus_share.hits")};
+}
+
+TEST(ProcessStimulusCache, ScalarEngineReusesStaircasesWithinItsJob) {
+    // The shared calibration renders the staircase; every point reuses it.
+    // A second sweep is a new job, so it renders once more.
+    auto scalar = make_engine(1);
+    const auto frequencies = core::log_spaced(hertz{200.0}, kilohertz(4.0), 5);
+    const auto one = job_share_counts([&] { (void)scalar.run(frequencies); });
+    EXPECT_EQ(one.first, 1u);
+    EXPECT_EQ(one.second, frequencies.size());
+    const auto two = job_share_counts([&] {
+        (void)scalar.run(frequencies);
+        (void)scalar.run(frequencies);
+    });
+    EXPECT_EQ(two.first, 2u);
+}
+
+TEST(ProcessStimulusCache, OverBudgetLaneRecordKeptByItsJob) {
+    // A staircase longer than the process budget would be rendered afresh
+    // by every lane group; the lane path reads it through its job's share
+    // instead, and the points stay bit-identical to the scalar path.
+    auto settings = calibrated_settings();
+    settings.periods = stimulus_cache::process_budget_bytes / (kN * sizeof(double));
+    ASSERT_GT((settings.settle_periods + settings.periods) * kN * sizeof(double),
+              stimulus_cache::process_budget_bytes);
+    const std::vector<hertz> frequencies = {hertz{500.0}, hertz{2000.0}, hertz{3000.0}};
+    core::sweep_engine_options options;
+    options.threads = 2;
+
+    options.batch_lanes = 2;
+    core::sweep_engine lanes(paper_factory(), settings, options);
+    const auto stairs = stimulus_cache::process().stats();
+    core::sweep_report lane_report;
+    const auto counts = job_share_counts([&] { lane_report = lanes.run(frequencies); });
+    EXPECT_EQ(stimulus_cache::process().stats().misses, stairs.misses);
+    EXPECT_EQ(stimulus_cache::process().stats().hits, stairs.hits);
+    EXPECT_EQ(counts.first, 1u);
+    EXPECT_EQ(counts.second, frequencies.size());
+
+    options.batch_lanes = 1;
+    core::sweep_engine scalar(paper_factory(), settings, options);
+    const auto scalar_report = scalar.run(frequencies);
+    ASSERT_EQ(lane_report.points.size(), scalar_report.points.size());
+    for (std::size_t i = 0; i < frequencies.size(); ++i) {
+        EXPECT_EQ(lane_report.points[i].gain_db, scalar_report.points[i].gain_db);
+        EXPECT_EQ(lane_report.points[i].phase_deg, scalar_report.points[i].phase_deg);
     }
 }
 
