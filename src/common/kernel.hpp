@@ -26,3 +26,17 @@
 #else
 #define BISTNA_KERNEL_CLONES
 #endif
+
+// The 8-wide AVX-512F entry of a kernel written with generic vectors: a
+// plain target("avx512f") function, picked at run time with
+// cpu_has_avx512f() (no ifunc resolver, so sanitizer builds keep it).
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define BISTNA_KERNEL_AVX512 __attribute__((target("avx512f")))
+
+namespace bistna {
+inline bool cpu_has_avx512f() noexcept {
+    static const bool has = __builtin_cpu_supports("avx512f");
+    return has;
+}
+} // namespace bistna
+#endif

@@ -8,8 +8,6 @@
 
 namespace bistna::sd {
 
-namespace {
-
 // Restrict-qualified views of the lane arrays: the hot loops below are the
 // whole point of the bank, and without the no-alias promise the compiler
 // must assume acc/records overlap the state lanes and give up on
@@ -28,6 +26,32 @@ struct lane_view {
     const double* __restrict noise_rms;
     double* __restrict clip;
 };
+
+/// One noiseless kernel call: the lane range, the input and the lane arrays.
+struct tile_args {
+    std::size_t lane_begin = 0; ///< first lane, a multiple of the tile width
+    std::size_t lane_end = 0;   ///< one past the last lane of the last full tile
+    std::size_t count = 0;
+    const double* x = nullptr;  ///< lane 0 of lane-major rows (stride x_stride), or one record
+    std::size_t x_stride = 0;
+    const double* qsigns = nullptr;
+    const double* acc_signs = nullptr;
+    double* acc = nullptr;
+    double* state = nullptr;
+    double* last = nullptr;
+    double* clip = nullptr;
+    const double* leak = nullptr;
+    const double* b = nullptr;
+    const double* vref = nullptr;
+    const double* input_offset = nullptr;
+    const double* settle_gain = nullptr;
+    const double* swing = nullptr;
+    const double* cmp_offset = nullptr;
+    const double* cmp_hyst = nullptr;
+};
+
+namespace {
+
 
 /// One lane's master-clock sample: the exact arithmetic of
 /// sd_modulator::step (comparator decide, input modulation, leaky
@@ -72,114 +96,162 @@ inline double advance_lane(const lane_view& v, bistna::rng* rngs, std::size_t l,
 // across lanes.
 // ---------------------------------------------------------------------------
 
-// Runtime-dispatched AVX2 / AVX-512F clones where the toolchain supports
-// them (see common/kernel.hpp for why sanitizer builds fall back to the
-// plain kernel and why the clones stay bit-identical).
-#define BISTNA_BANK_KERNEL BISTNA_KERNEL_CLONES
+// ---------------------------------------------------------------------------
+// The register-resident noiseless kernel.  A tile of W lanes (one generic
+// vector: 8 doubles on the AVX-512F entry, 4 elsewhere) keeps its state,
+// last decision, clip count and accumulator in registers across the whole
+// sample loop and stores them back once.  Everything that does not depend
+// on the state is hoisted off the loop-carried chain, exactly:
+//
+//  * the threshold is one of two per-lane constants, offset + (-h) * 0.5
+//    after a +1 decision and offset + h * 0.5 after a -1 -- the values the
+//    scalar comparator computes, selected instead of recomputed;
+//  * bit * vref is exactly vref or -vref (bit is +/-1), so both increment
+//    candidates (b * (m - vref)) * g and (b * (m - (-vref))) * g are
+//    computed from the input alone and the decision selects one -- the
+//    same two roundings the scalar step performs on the chosen branch.
+//    Folding b * g into one per-lane constant would round differently.
+//  * the counter adds +sign or -sign, which is sign * bit exactly.
+//
+// Generic vectors are used because a template body inlined into a plain
+// entry point is lowered at that entry point's ISA; an 8-wide body would be
+// scalarized in the AVX2 clone, so the AVX-512F entry is a separate
+// target("avx512f") function picked at run time.
+// ---------------------------------------------------------------------------
 
-/// A block of lockstep samples over all lanes: xs is lane-major (sample
-/// j's inputs at xs[j * n_lanes], transposed by the caller), qsigns[j] /
-/// signs[j] the shared modulation and accumulation signs as exact +/-1.
-/// The sample loop lives inside the kernel so a dispatched clone is
-/// entered once per block, not once per sample.
-BISTNA_BANK_KERNEL
-void noiseless_block(std::size_t samples, std::size_t n_lanes, const double* __restrict xs,
-                     const double* __restrict qsigns, const double* __restrict signs,
-                     double* __restrict acc, double* __restrict state,
-                     double* __restrict last, const double* __restrict leak,
-                     const double* __restrict b, const double* __restrict vref,
-                     const double* __restrict input_offset,
-                     const double* __restrict settle_gain, const double* __restrict swing,
-                     const double* __restrict cmp_offset, const double* __restrict cmp_hyst,
-                     double* __restrict clip) noexcept {
-    for (std::size_t j = 0; j < samples; ++j) {
-        const double qsign = qsigns[j];
-        const double sign = signs[j];
-        const double* __restrict x_row = xs + j * n_lanes;
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            const double s = state[l];
-            const double threshold = cmp_offset[l] + (-last[l]) * cmp_hyst[l] * 0.5;
-            const double bit = s >= threshold ? 1.0 : -1.0;
-            last[l] = bit;
-            const double modulated = qsign * x_row[l] + input_offset[l];
-            const double increment = b[l] * (modulated - bit * vref[l]);
-            const double next = leak[l] * s + increment * settle_gain[l];
-            const double lo = -swing[l];
-            const double hi = swing[l];
-            const double clipped = next < lo ? lo : (next > hi ? hi : next);
-            clip[l] += clipped != next ? 1.0 : 0.0;
-            state[l] = clipped;
-            acc[l] += sign * bit;
+enum class input_mode { lane_major, broadcast, grounded };
+
+
+template <class V>
+[[gnu::always_inline]] inline V load_lanes(const double* p) noexcept {
+    V v;
+    __builtin_memcpy(&v, p, sizeof v);
+    return v;
+}
+
+template <class V>
+[[gnu::always_inline]] inline void store_lanes(double* p, V v) noexcept {
+    __builtin_memcpy(p, &v, sizeof v);
+}
+
+template <class V, input_mode Input>
+[[gnu::always_inline]] inline void run_tiles(const tile_args& a) noexcept {
+    constexpr std::size_t width = sizeof(V) / sizeof(double);
+    const V zero{};
+    const V one = zero + 1.0;
+    const V minus_one = zero - 1.0;
+    for (std::size_t l = a.lane_begin; l < a.lane_end; l += width) {
+        const V leak = load_lanes<V>(a.leak + l);
+        const V b = load_lanes<V>(a.b + l);
+        const V vref = load_lanes<V>(a.vref + l);
+        const V neg_vref = -vref;
+        const V offset = load_lanes<V>(a.input_offset + l);
+        const V gain = load_lanes<V>(a.settle_gain + l);
+        const V hi = load_lanes<V>(a.swing + l);
+        const V lo = -hi;
+        const V cmp_offset = load_lanes<V>(a.cmp_offset + l);
+        const V hyst = load_lanes<V>(a.cmp_hyst + l);
+        const V thr_after_pos = cmp_offset + (-hyst) * 0.5;
+        const V thr_after_neg = cmp_offset + hyst * 0.5;
+
+        V s = load_lanes<V>(a.state + l);
+        V last = load_lanes<V>(a.last + l);
+        V acc = load_lanes<V>(a.acc + l);
+        V clip = load_lanes<V>(a.clip + l);
+        const double* x = a.x + l;
+        for (std::size_t j = 0; j < a.count; ++j) {
+            V m;
+            double sign = 1.0;
+            if constexpr (Input == input_mode::lane_major) {
+                m = a.qsigns[j] * load_lanes<V>(x + j * a.x_stride) + offset;
+                sign = a.acc_signs[j];
+            } else if constexpr (Input == input_mode::broadcast) {
+                m = (zero + a.qsigns[j] * a.x[j]) + offset;
+                sign = a.acc_signs[j];
+            } else {
+                m = zero + offset; // (q ? 0.0 : -0.0) + offset with q positive
+            }
+            const V up = b * (m - vref) * gain;
+            const V down = b * (m - neg_vref) * gain;
+            const V thr = last > 0.0 ? thr_after_pos : thr_after_neg;
+            const V next = leak * s + (s >= thr ? up : down);
+            acc += s >= thr ? zero + sign : zero - sign;
+            last = s >= thr ? one : minus_one;
+            const V clipped = next < lo ? lo : (next > hi ? hi : next);
+            clip += clipped != next ? one : zero;
+            s = clipped;
         }
+        store_lanes(a.state + l, s);
+        store_lanes(a.last + l, last);
+        store_lanes(a.acc + l, acc);
+        store_lanes(a.clip + l, clip);
     }
 }
 
-/// Broadcast variant: every lane consumes the *same* record (the
-/// cache-shared calibration staircase), so the per-sample input is one
-/// scalar load splat across the lane vectors instead of a lane-major row
-/// -- no transpose, no broadcast copy.
-BISTNA_BANK_KERNEL
-void noiseless_block_shared(std::size_t samples, std::size_t n_lanes,
-                            const double* __restrict xs, const double* __restrict qsigns,
-                            const double* __restrict signs, double* __restrict acc,
-                            double* __restrict state, double* __restrict last,
-                            const double* __restrict leak, const double* __restrict b,
-                            const double* __restrict vref,
-                            const double* __restrict input_offset,
-                            const double* __restrict settle_gain,
-                            const double* __restrict swing,
-                            const double* __restrict cmp_offset,
-                            const double* __restrict cmp_hyst,
-                            double* __restrict clip) noexcept {
-    for (std::size_t j = 0; j < samples; ++j) {
-        const double modulated_x = qsigns[j] * xs[j];
-        const double sign = signs[j];
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            const double s = state[l];
-            const double threshold = cmp_offset[l] + (-last[l]) * cmp_hyst[l] * 0.5;
-            const double bit = s >= threshold ? 1.0 : -1.0;
-            last[l] = bit;
-            const double modulated = modulated_x + input_offset[l];
-            const double increment = b[l] * (modulated - bit * vref[l]);
-            const double next = leak[l] * s + increment * settle_gain[l];
-            const double lo = -swing[l];
-            const double hi = swing[l];
-            const double clipped = next < lo ? lo : (next > hi ? hi : next);
-            clip[l] += clipped != next ? 1.0 : 0.0;
-            state[l] = clipped;
-            acc[l] += sign * bit;
-        }
+template <class V>
+[[gnu::always_inline]] inline void run_tiles_for(input_mode input, const tile_args& a) noexcept {
+    switch (input) {
+    case input_mode::lane_major:
+        run_tiles<V, input_mode::lane_major>(a);
+        break;
+    case input_mode::broadcast:
+        run_tiles<V, input_mode::broadcast>(a);
+        break;
+    case input_mode::grounded:
+        run_tiles<V, input_mode::grounded>(a);
+        break;
     }
 }
 
-/// Grounded-input variant (x = 0, positive modulation, unit accumulation):
-/// the offset-calibration hot loop, with the input load folded away.
-BISTNA_BANK_KERNEL
-void noiseless_grounded_run(std::size_t count, std::size_t n_lanes, double* __restrict acc,
-                            double* __restrict state, double* __restrict last,
-                            const double* __restrict leak, const double* __restrict b,
-                            const double* __restrict vref,
-                            const double* __restrict input_offset,
-                            const double* __restrict settle_gain,
-                            const double* __restrict swing,
-                            const double* __restrict cmp_offset,
-                            const double* __restrict cmp_hyst,
-                            double* __restrict clip) noexcept {
-    for (std::size_t n = 0; n < count; ++n) {
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            const double s = state[l];
-            const double threshold = cmp_offset[l] + (-last[l]) * cmp_hyst[l] * 0.5;
-            const double bit = s >= threshold ? 1.0 : -1.0;
-            last[l] = bit;
-            const double modulated = input_offset[l]; // (q ? 0.0 : -0.0) + offset
-            const double increment = b[l] * (modulated - bit * vref[l]);
-            const double next = leak[l] * s + increment * settle_gain[l];
-            const double lo = -swing[l];
-            const double hi = swing[l];
-            const double clipped = next < lo ? lo : (next > hi ? hi : next);
-            clip[l] += clipped != next ? 1.0 : 0.0;
-            state[l] = clipped;
-            acc[l] += bit;
+using lanes4 = double __attribute__((vector_size(4 * sizeof(double))));
+
+// Runtime-dispatched default / AVX2 / AVX-512F clones where the toolchain
+// supports them (see common/kernel.hpp for why sanitizer builds fall back
+// to the plain kernel and why the clones stay bit-identical).
+BISTNA_KERNEL_CLONES void run_tiles4(input_mode input, const tile_args& a) noexcept {
+    run_tiles_for<lanes4>(input, a);
+}
+
+#ifdef BISTNA_KERNEL_AVX512
+using lanes8 = double __attribute__((vector_size(8 * sizeof(double))));
+
+BISTNA_KERNEL_AVX512 void run_tiles8(input_mode input, const tile_args& a) noexcept {
+    run_tiles_for<lanes8>(input, a);
+}
+#endif
+
+/// The noiseless lanes of one accumulate call: full 8-lane tiles on the
+/// AVX-512F entry where the CPU has it, then 4-lane tiles, then the
+/// remaining (< 4) lanes through the per-lane reference step.
+void run_noiseless(input_mode input, tile_args a, std::size_t n_lanes,
+                   const lane_view& v, bistna::rng* rngs) noexcept {
+    std::size_t done = 0;
+#ifdef BISTNA_KERNEL_AVX512
+    if (cpu_has_avx512f()) {
+        a.lane_begin = 0;
+        a.lane_end = n_lanes - n_lanes % 8;
+        run_tiles8(input, a);
+        done = a.lane_end;
+    }
+#endif
+    a.lane_begin = done;
+    a.lane_end = done + (n_lanes - done) / 4 * 4;
+    run_tiles4(input, a);
+    for (std::size_t l = a.lane_end; l < n_lanes; ++l) {
+        for (std::size_t j = 0; j < a.count; ++j) {
+            double x = 0.0;
+            bool q = true;
+            double sign = 1.0;
+            if (input == input_mode::lane_major) {
+                x = a.x[j * a.x_stride + l];
+            } else if (input == input_mode::broadcast) {
+                x = a.x[j];
+            }
+            if (input != input_mode::grounded) {
+                q = a.qsigns[j] > 0.0;
+                sign = a.acc_signs[j];
+            }
+            a.acc[l] += sign * advance_lane<false>(v, rngs, l, x, q);
         }
     }
 }
@@ -210,10 +282,7 @@ std::size_t modulator_bank::add_lane(const modulator_params& params, bistna::rng
 
 void modulator_bank::step(const double* inputs, bool modulation_positive,
                           double* bits_out) noexcept {
-    const lane_view v{state_.data(),       last_.data(),      leak_.data(),
-                      b_.data(),           vref_.data(),      input_offset_.data(),
-                      settle_gain_.data(), swing_.data(),     cmp_offset_.data(),
-                      cmp_hyst_.data(),    noise_rms_.data(), clip_.data()};
+    const lane_view v = view();
     const std::size_t n_lanes = lanes();
     if (any_noise_) {
         for (std::size_t l = 0; l < n_lanes; ++l) {
@@ -232,10 +301,7 @@ void modulator_bank::accumulate_lane_major(const double* xs, const double* qsign
                                            double* acc) noexcept {
     const std::size_t n_lanes = lanes();
     if (any_noise_) {
-        const lane_view v{state_.data(),       last_.data(),      leak_.data(),
-                          b_.data(),           vref_.data(),      input_offset_.data(),
-                          settle_gain_.data(), swing_.data(),     cmp_offset_.data(),
-                          cmp_hyst_.data(),    noise_rms_.data(), clip_.data()};
+        const lane_view v = view();
         for (std::size_t n = 0; n < count; ++n) {
             const bool q = qsigns[n] > 0.0;
             const double sign = acc_signs[n];
@@ -248,10 +314,8 @@ void modulator_bank::accumulate_lane_major(const double* xs, const double* qsign
     }
     // The record is already lane-major: the lockstep kernel consumes it
     // directly, with no per-call transpose at all.
-    noiseless_block(count, n_lanes, xs, qsigns, acc_signs, acc, state_.data(),
-                    last_.data(), leak_.data(), b_.data(), vref_.data(),
-                    input_offset_.data(), settle_gain_.data(), swing_.data(),
-                    cmp_offset_.data(), cmp_hyst_.data(), clip_.data());
+    run_noiseless(input_mode::lane_major, tiles(xs, n_lanes, qsigns, acc_signs, count, acc),
+                  n_lanes, view(), rng_.data());
 }
 
 void modulator_bank::accumulate_shared(const double* record, const double* qsigns,
@@ -259,10 +323,7 @@ void modulator_bank::accumulate_shared(const double* record, const double* qsign
                                        double* acc) noexcept {
     const std::size_t n_lanes = lanes();
     if (any_noise_) {
-        const lane_view v{state_.data(),       last_.data(),      leak_.data(),
-                          b_.data(),           vref_.data(),      input_offset_.data(),
-                          settle_gain_.data(), swing_.data(),     cmp_offset_.data(),
-                          cmp_hyst_.data(),    noise_rms_.data(), clip_.data()};
+        const lane_view v = view();
         for (std::size_t n = 0; n < count; ++n) {
             const bool q = qsigns[n] > 0.0;
             const double sign = acc_signs[n];
@@ -272,10 +333,8 @@ void modulator_bank::accumulate_shared(const double* record, const double* qsign
         }
         return;
     }
-    noiseless_block_shared(count, n_lanes, record, qsigns, acc_signs, acc, state_.data(),
-                           last_.data(), leak_.data(), b_.data(), vref_.data(),
-                           input_offset_.data(), settle_gain_.data(), swing_.data(),
-                           cmp_offset_.data(), cmp_hyst_.data(), clip_.data());
+    run_noiseless(input_mode::broadcast, tiles(record, 1, qsigns, acc_signs, count, acc),
+                  n_lanes, view(), rng_.data());
 }
 
 void modulator_bank::accumulate(const double* const* records, const unsigned char* qs,
@@ -283,10 +342,7 @@ void modulator_bank::accumulate(const double* const* records, const unsigned cha
                                 arena& scratch) noexcept {
     const std::size_t n_lanes = lanes();
     if (any_noise_) {
-        const lane_view v{state_.data(),       last_.data(),      leak_.data(),
-                          b_.data(),           vref_.data(),      input_offset_.data(),
-                          settle_gain_.data(), swing_.data(),     cmp_offset_.data(),
-                          cmp_hyst_.data(),    noise_rms_.data(), clip_.data()};
+        const lane_view v = view();
         for (std::size_t n = 0; n < count; ++n) {
             const bool q = qs[n] != 0;
             const double sign = acc_signs[n];
@@ -315,20 +371,17 @@ void modulator_bank::accumulate(const double* const* records, const unsigned cha
         for (std::size_t j = 0; j < samples; ++j) {
             qsigns[j] = qs[n0 + j] != 0 ? 1.0 : -1.0;
         }
-        noiseless_block(samples, n_lanes, transposed.data(), qsigns.data(), acc_signs + n0,
-                        acc, state_.data(), last_.data(), leak_.data(), b_.data(),
-                        vref_.data(), input_offset_.data(), settle_gain_.data(),
-                        swing_.data(), cmp_offset_.data(), cmp_hyst_.data(), clip_.data());
+        run_noiseless(input_mode::lane_major,
+                      tiles(transposed.data(), n_lanes, qsigns.data(), acc_signs + n0,
+                            samples, acc),
+                      n_lanes, view(), rng_.data());
     }
 }
 
 void modulator_bank::accumulate_grounded(std::size_t count, double* acc) noexcept {
     const std::size_t n_lanes = lanes();
     if (any_noise_) {
-        const lane_view v{state_.data(),       last_.data(),      leak_.data(),
-                          b_.data(),           vref_.data(),      input_offset_.data(),
-                          settle_gain_.data(), swing_.data(),     cmp_offset_.data(),
-                          cmp_hyst_.data(),    noise_rms_.data(), clip_.data()};
+        const lane_view v = view();
         for (std::size_t n = 0; n < count; ++n) {
             for (std::size_t l = 0; l < n_lanes; ++l) {
                 acc[l] += advance_lane<true>(v, rng_.data(), l, 0.0, true);
@@ -336,10 +389,38 @@ void modulator_bank::accumulate_grounded(std::size_t count, double* acc) noexcep
         }
         return;
     }
-    noiseless_grounded_run(count, n_lanes, acc, state_.data(), last_.data(), leak_.data(),
-                           b_.data(), vref_.data(), input_offset_.data(),
-                           settle_gain_.data(), swing_.data(), cmp_offset_.data(),
-                           cmp_hyst_.data(), clip_.data());
+    run_noiseless(input_mode::grounded, tiles(nullptr, 0, nullptr, nullptr, count, acc),
+                  n_lanes, view(), rng_.data());
+}
+
+lane_view modulator_bank::view() noexcept {
+    return {state_.data(),       last_.data(),  leak_.data(),       b_.data(),
+            vref_.data(),        input_offset_.data(), settle_gain_.data(), swing_.data(),
+            cmp_offset_.data(),  cmp_hyst_.data(), noise_rms_.data(), clip_.data()};
+}
+
+tile_args modulator_bank::tiles(const double* x, std::size_t x_stride, const double* qsigns,
+                                const double* acc_signs, std::size_t count,
+                                double* acc) noexcept {
+    tile_args a;
+    a.count = count;
+    a.x = x;
+    a.x_stride = x_stride;
+    a.qsigns = qsigns;
+    a.acc_signs = acc_signs;
+    a.acc = acc;
+    a.state = state_.data();
+    a.last = last_.data();
+    a.clip = clip_.data();
+    a.leak = leak_.data();
+    a.b = b_.data();
+    a.vref = vref_.data();
+    a.input_offset = input_offset_.data();
+    a.settle_gain = settle_gain_.data();
+    a.swing = swing_.data();
+    a.cmp_offset = cmp_offset_.data();
+    a.cmp_hyst = cmp_hyst_.data();
+    return a;
 }
 
 void modulator_bank::reset_lane(std::size_t lane, double initial_state) {

@@ -27,6 +27,9 @@
 
 namespace bistna::sd {
 
+struct lane_view;
+struct tile_args;
+
 class modulator_bank {
 public:
     modulator_bank() = default;
@@ -85,6 +88,10 @@ public:
     const modulator_params& params(std::size_t lane) const;
 
 private:
+    lane_view view() noexcept;
+    tile_args tiles(const double* x, std::size_t x_stride, const double* qsigns,
+                    const double* acc_signs, std::size_t count, double* acc) noexcept;
+
     // SoA lanes.  Comparator decisions and clip counters are kept as
     // doubles (+1/-1 and exact small integers) so the inner loop stays in
     // one vector domain.
