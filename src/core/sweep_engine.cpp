@@ -70,6 +70,15 @@ struct job_stairs : stimulus_cache {
                          "engine.stimulus_share") {}
 };
 
+/// A job's own demodulation tables (see sweep_engine::tables_for), counted
+/// under eval.demod_share.*: unbounded in bytes, one entry per program
+/// stage the job can run.
+struct job_tables : eval::demod_table_cache {
+    job_tables()
+        : demod_table_cache(std::numeric_limits<std::size_t>::max(), max_entries,
+                            "eval.demod_share") {}
+};
+
 /// Render one acquisition stage for one item, deduplicated through the
 /// batch's render share when the item carries a render key: identical
 /// boards produce bit-identical records (a render is a pure function of
@@ -160,7 +169,7 @@ struct stage_records {
 };
 
 /// A lane group in flight on one worker: a board and an evaluator lane per
-/// item, the process-wide demod-table cache and the worker's arena always
+/// item, the job's demod-table cache and the worker's arena always
 /// attached (offset calibrations come from the process-wide
 /// eval::calibration_memo).  Screening, Bode and acquisition groups are
 /// sequences of the three program stages below -- calibration, fundamental
@@ -176,12 +185,13 @@ public:
     /// nonzero keys resolve through `shared_records` (see render_stage).
     lane_group(std::vector<demonstrator_board> boards,
                std::vector<eval::evaluator_config> configs, const analyzer_settings& settings,
-               std::size_t stair_periods, std::vector<std::uint64_t> render_keys = {},
+               eval::demod_table_cache* tables, std::size_t stair_periods,
+               std::vector<std::uint64_t> render_keys = {},
                render_share* shared_records = nullptr)
         : boards_(std::move(boards)), evaluators_(std::move(configs)), settings_(settings),
           scratch_(worker_arena()), stair_periods_(stair_periods),
           render_keys_(std::move(render_keys)), shared_records_(shared_records) {
-        evaluators_.set_shared_resources(&eval::demod_table_cache::process(), &scratch_);
+        evaluators_.set_shared_resources(tables);
         all_.resize(boards_.size());
         std::iota(all_.begin(), all_.end(), std::size_t{0});
     }
@@ -367,6 +377,16 @@ stimulus_cache* sweep_engine::stairs_for(stimulus_cache& job_stairs,
                : &job_stairs;
 }
 
+eval::demod_table_cache* sweep_engine::tables_for(eval::demod_table_cache& job_tables,
+                                                  bool thd_stage) const noexcept {
+    eval::acquisition_settings longest;
+    longest.periods = longest_periods(thd_stage);
+    longest.n_per_period = settings_.evaluator.n_per_period;
+    return eval::demod_tables::bytes_for(longest) <= eval::demod_table_cache::max_bytes
+               ? &eval::demod_table_cache::process()
+               : &job_tables;
+}
+
 std::size_t sweep_engine::job_stairs_entries() const noexcept {
     return std::max<std::size_t>(
         64, resolved_threads() * std::max<std::size_t>(1, options_.batch_lanes));
@@ -480,6 +500,7 @@ struct bode_job {
     std::uint64_t board_seed = 0;
     std::optional<stimulus_calibration> calibration;
     job_stairs stairs;
+    job_tables tables;
 };
 
 } // namespace
@@ -501,7 +522,7 @@ void sweep_engine::bode_group(const std::vector<hertz>& frequencies,
                               std::uint64_t board_seed,
                               const stimulus_calibration& calibration, std::size_t first,
                               std::size_t count, frequency_point* out,
-                              stimulus_cache* stairs) {
+                              stimulus_cache* stairs, eval::demod_table_cache* tables) {
     // Lockstep lanes: one board per point, all drawn with the same seed;
     // the lanes differ only in timebase, so one banked pass renders them
     // all.  Per-point seeds and arithmetic match the scalar path exactly.
@@ -515,7 +536,7 @@ void sweep_engine::bode_group(const std::vector<hertz>& frequencies,
         configs[l].seed = sweep_item_seed(options_.base_seed, first + l + 1);
         timebases.push_back(sim::timebase::for_wave_frequency(frequencies[first + l]));
     }
-    lane_group group(std::move(boards), std::move(configs), settings_, 0);
+    lane_group group(std::move(boards), std::move(configs), settings_, tables, 0);
     const auto outputs = group.fundamental(group.all(), timebases);
     for (std::size_t l = 0; l < count; ++l) {
         out[l] = group.point(l, frequencies[first + l], calibration, outputs[l]);
@@ -535,6 +556,7 @@ sweep_engine::submit_bode(std::vector<hertz> frequencies, std::uint64_t board_se
     auto job =
         std::make_shared<bode_job>(std::move(frequencies), board_seed, job_stairs_entries());
     stimulus_cache* stairs = stairs_for(job->stairs, false);
+    eval::demod_table_cache* tables = tables_for(job->tables, false);
     if (options_.share_calibration && !settings_.recalibrate_per_point) {
         demonstrator_board board = make_board(board_seed, stairs);
         analyzer_settings calibration_settings = settings_;
@@ -549,11 +571,12 @@ sweep_engine::submit_bode(std::vector<hertz> frequencies, std::uint64_t board_se
     const bool lockstep = lanes > 1 && job->calibration.has_value();
     return queue_->submit<frequency_point>(
         job->frequencies.size(), lockstep ? lanes : 1,
-        [this, job, stairs, lockstep](std::size_t first, std::size_t count,
-                                      frequency_point* out, const job_progress& progress) {
+        [this, job, stairs, tables, lockstep](std::size_t first, std::size_t count,
+                                              frequency_point* out,
+                                              const job_progress& progress) {
             if (lockstep) {
                 bode_group(job->frequencies, job->board_seed, *job->calibration, first,
-                           count, out, stairs);
+                           count, out, stairs, tables);
                 progress.items_done(count);
                 return;
             }
@@ -610,6 +633,7 @@ struct screening_job {
     screening_options screening;
     std::uint64_t first_seed = 0;
     job_stairs stairs;
+    job_tables tables;
 };
 
 } // namespace
@@ -625,16 +649,17 @@ sweep_engine::submit_screening(const spec_mask& mask, std::size_t dice,
     auto job = std::make_shared<screening_job>(mask, screening, first_seed,
                                                job_stairs_entries());
     stimulus_cache* stairs = stairs_for(job->stairs, screening.measure_distortion);
+    eval::demod_table_cache* tables = tables_for(job->tables, screening.measure_distortion);
     const std::size_t lanes = std::max<std::size_t>(1, options_.batch_lanes);
     if (lanes > 1) {
         // Lockstep lanes: each task screens a contiguous group of dice
         // through one SoA modulator bank (threads x lanes dice in flight).
         return queue_->submit<screening_report>(
             dice, lanes,
-            [this, job, stairs](std::size_t first, std::size_t count, screening_report* out,
-                                const job_progress& progress) {
+            [this, job, stairs, tables](std::size_t first, std::size_t count,
+                                        screening_report* out, const job_progress& progress) {
                 screen_group(job->mask, job->screening, job->first_seed + first, count, out,
-                             stairs, progress);
+                             stairs, tables, progress);
             },
             std::move(on_report), std::move(on_published));
     }
@@ -666,6 +691,7 @@ std::vector<screening_report> sweep_engine::screen_batch(const spec_mask& mask,
 void sweep_engine::screen_group(const spec_mask& mask, const screening_options& screening,
                                 std::uint64_t first_seed, std::size_t count,
                                 screening_report* reports, stimulus_cache* stairs,
+                                eval::demod_table_cache* tables,
                                 const job_progress& progress) {
     BISTNA_EXPECTS(count > 0, "lane group must contain at least one die");
     std::vector<demonstrator_board> boards;
@@ -675,7 +701,7 @@ void sweep_engine::screen_group(const spec_mask& mask, const screening_options& 
     }
     lane_group group(std::move(boards),
                      std::vector<eval::evaluator_config>(count, settings_.evaluator),
-                     settings_,
+                     settings_, tables,
                      stairs != nullptr ? longest_periods(screening.measure_distortion) : 0);
 
     // Stage 1 -- the stimulus self-test through the calibration path.
@@ -767,6 +793,7 @@ struct acquisition_job {
     core::sweep_engine::acquisition_program program;
     render_share shared_records; ///< thread-safe render-once share
     job_stairs stairs;
+    job_tables tables;
 };
 
 } // namespace
@@ -783,15 +810,17 @@ sweep_engine::submit_acquisition(std::vector<acquisition_item> items,
     auto job = std::make_shared<acquisition_job>(std::move(items), std::move(program),
                                                  job_stairs_entries());
     stimulus_cache* stairs = stairs_for(job->stairs, job->thd_stage());
+    eval::demod_table_cache* tables = tables_for(job->tables, job->thd_stage());
     const std::size_t count = job->items.size();
     const std::size_t lanes = std::max<std::size_t>(1, options_.batch_lanes);
     if (lanes > 1) {
         return queue_->submit<acquisition_result>(
             count, lanes,
-            [this, job, stairs](std::size_t first, std::size_t n, acquisition_result* out,
-                                const job_progress& progress) {
+            [this, job, stairs, tables](std::size_t first, std::size_t n,
+                                        acquisition_result* out,
+                                        const job_progress& progress) {
                 acquire_group(job->items, job->program, first, n, out, job->shared_records,
-                              stairs);
+                              stairs, tables);
                 progress.items_done(n);
             },
             std::move(on_result), std::move(on_published));
@@ -868,7 +897,8 @@ sweep_engine::acquisition_result sweep_engine::acquire_scalar(
 void sweep_engine::acquire_group(const std::vector<acquisition_item>& items,
                                  const acquisition_program& program, std::size_t first,
                                  std::size_t count, acquisition_result* results,
-                                 render_share& shared_records, stimulus_cache* stairs) {
+                                 render_share& shared_records, stimulus_cache* stairs,
+                                 eval::demod_table_cache* tables) {
     BISTNA_EXPECTS(count > 0, "lane group must contain at least one item");
 
     std::vector<demonstrator_board> boards;
@@ -884,7 +914,7 @@ void sweep_engine::acquire_group(const std::vector<acquisition_item>& items,
         render_keys.push_back(items[first + l].render_key);
     }
     const bool thd_stage = program.distortion_max_harmonic >= 2;
-    lane_group group(std::move(boards), std::move(configs), settings_,
+    lane_group group(std::move(boards), std::move(configs), settings_, tables,
                      stairs != nullptr ? longest_periods(thd_stage) : 0,
                      std::move(render_keys), &shared_records);
 

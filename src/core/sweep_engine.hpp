@@ -43,6 +43,10 @@
 #include "core/stimulus_cache.hpp"
 #include "sim/timebase.hpp"
 
+namespace bistna::eval {
+class demod_table_cache;
+} // namespace bistna::eval
+
 namespace bistna::core {
 
 /// An acquisition batch's render-once share of keyed items' records
@@ -276,6 +280,13 @@ private:
     /// (threads x batch_lanes), at least 64.
     std::size_t job_stairs_entries() const noexcept;
 
+    /// The demodulation tables a job's lane groups read: the process-wide
+    /// cache when the program's longest table fits its budget, else
+    /// `job_tables` (the job's own, so an over-budget program builds each
+    /// table once per job instead of once per lane group).
+    eval::demod_table_cache* tables_for(eval::demod_table_cache& job_tables,
+                                        bool thd_stage) const noexcept;
+
     /// One Bode point on the scalar analyzer path (the per-item unit of a
     /// submitted Bode job without lockstep lanes).
     frequency_point bode_point(hertz f, std::uint64_t board_seed,
@@ -285,15 +296,16 @@ private:
     // The three lane-group shapes below run the scalar program in
     // lockstep over one stage runner (sweep_engine.cpp): every stage
     // renders as a shared record or a banked lane-major block and feeds the
-    // lane-major evaluator kernels, with the process-wide demodulation
-    // tables and the worker's arena attached and offset calibrations
+    // lane-major evaluator kernels, with the job's demodulation tables
+    // (see tables_for) and the worker's arena attached and offset calibrations
     // transplanted from the process-wide eval::calibration_memo.
 
     /// A lane group of Bode points (the shared-calibration lockstep path),
     /// points written to out[0..count).  The lanes differ only in timebase.
     void bode_group(const std::vector<hertz>& frequencies, std::uint64_t board_seed,
                     const stimulus_calibration& calibration, std::size_t first,
-                    std::size_t count, frequency_point* out, stimulus_cache* stairs);
+                    std::size_t count, frequency_point* out, stimulus_cache* stairs,
+                    eval::demod_table_cache* tables);
 
     /// Batched-lane screening of dice [first_seed, first_seed + count),
     /// reports written to reports[0..count).  Bit-identical per die to
@@ -304,7 +316,7 @@ private:
     void screen_group(const spec_mask& mask, const screening_options& screening,
                       std::uint64_t first_seed, std::size_t count,
                       screening_report* reports, stimulus_cache* stairs,
-                      const job_progress& progress = {});
+                      eval::demod_table_cache* tables, const job_progress& progress = {});
 
     /// Lockstep acquisition of items [first, first + count) of an acquire()
     /// batch, results written to results[0..count).  `shared_records` is
@@ -312,7 +324,8 @@ private:
     void acquire_group(const std::vector<acquisition_item>& items,
                        const acquisition_program& program, std::size_t first,
                        std::size_t count, acquisition_result* results,
-                       render_share& shared_records, stimulus_cache* stairs);
+                       render_share& shared_records, stimulus_cache* stairs,
+                       eval::demod_table_cache* tables);
 
     /// Autotune probe (constructor helper): time candidate
     /// {threads, batch_lanes} points and adopt the fastest into options_.

@@ -25,7 +25,11 @@ demod_table_cache& demod_table_cache::process() {
     return cache;
 }
 
-demod_table_cache::demod_table_cache() : tables_(max_bytes, max_entries, "eval.demod") {}
+demod_table_cache::demod_table_cache() : demod_table_cache(max_bytes, max_entries, "eval.demod") {}
+
+demod_table_cache::demod_table_cache(std::size_t max_bytes, std::size_t max_entries,
+                                     const std::string& metric_prefix)
+    : tables_(max_bytes, max_entries, metric_prefix) {}
 
 std::shared_ptr<const demod_tables>
 demod_table_cache::get(const acquisition_settings& settings) {

@@ -28,6 +28,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 
 #include "common/render_once_cache.hpp"
@@ -62,11 +63,18 @@ public:
     static demod_table_cache& process();
 
     /// Budget: the oldest tables are evicted beyond either cap.  A default
-    /// 200-period table is ~0.5 MB.
+    /// 200-period table is ~0.44 MB.  A program whose table exceeds the
+    /// byte budget is served from its job's own cache instead
+    /// (core::sweep_engine::tables_for).
     static constexpr std::size_t max_entries = 64;
     static constexpr std::size_t max_bytes = std::size_t{16} << 20;
 
     demod_table_cache();
+    /// A cache holding at most `max_bytes` of tables in at most
+    /// `max_entries` entries, counted under `<metric_prefix>.*` (a job's own
+    /// share of over-budget programs).
+    demod_table_cache(std::size_t max_bytes, std::size_t max_entries,
+                      const std::string& metric_prefix);
 
     /// The tables for `settings`, built on first use.
     std::shared_ptr<const demod_tables> get(const acquisition_settings& settings);

@@ -50,10 +50,8 @@ acquisition_settings batch_evaluator::settings_for(std::size_t k,
 
 void batch_evaluator::calibrate() { ensure_calibrated(all_lanes_); }
 
-void batch_evaluator::set_shared_resources(demod_table_cache* tables,
-                                           arena* scratch) noexcept {
+void batch_evaluator::set_shared_resources(demod_table_cache* tables) noexcept {
     shared_tables_ = tables;
-    scratch_ = scratch;
 }
 
 std::shared_ptr<const demod_tables>
@@ -165,25 +163,6 @@ std::vector<harmonic_measurement> batch_evaluator::assemble_harmonics(
         out.push_back(estimate_harmonic(sigs[i], configs_[lane_ids[i]].constants));
     }
     return out;
-}
-
-std::vector<harmonic_measurement> batch_evaluator::measure_harmonic_lanes(
-    std::span<const std::size_t> lane_ids, std::span<const std::span<const double>> records,
-    std::size_t k, std::size_t periods) {
-    BISTNA_EXPECTS(lane_ids.size() == records.size(),
-                   "need exactly one record per requested lane");
-    BISTNA_EXPECTS(scratch_ != nullptr,
-                   "per-lane record acquisition needs a scratch arena");
-    ensure_calibrated(lane_ids);
-    const auto lane_ptrs = lane_pointers(lane_ids);
-    const acquisition_settings settings = settings_for(k, periods);
-    const auto tables = tables_for(settings);
-    telemetry::trace_span span("eval.modulate");
-    span.arg("lanes", static_cast<double>(lane_ids.size()));
-    span.arg("k", static_cast<double>(k));
-    const auto sigs = signature_extractor::acquire_batch(lane_ptrs, records, settings,
-                                                         *tables, *scratch_);
-    return assemble_harmonics(lane_ids, sigs);
 }
 
 std::vector<harmonic_measurement> batch_evaluator::measure_harmonic_lanes(

@@ -23,10 +23,6 @@
 #include "eval/evaluator.hpp"
 #include "eval/signature.hpp"
 
-namespace bistna {
-class arena;
-} // namespace bistna
-
 namespace bistna::eval {
 
 class demod_table_cache;
@@ -52,12 +48,10 @@ public:
 
     std::size_t lanes() const noexcept { return configs_.size(); }
 
-    /// Attach the engine's shared fast-path resources: `tables` caches the
-    /// per-stage demodulation sign tables across work items (optional),
-    /// `scratch` bump-allocates the transpose scratch of per-lane-span
-    /// acquisitions (required by that form).  Both bit-identical to the
-    /// plain path.
-    void set_shared_resources(demod_table_cache* tables, arena* scratch) noexcept;
+    /// Attach the engine's shared demodulation-table cache: the per-stage
+    /// sign tables come from `tables` across work items instead of being
+    /// built per call (null builds locally).  Bit-identical either way.
+    void set_shared_resources(demod_table_cache* tables) noexcept;
 
     /// One-time batched offset calibration of every not-yet-calibrated
     /// lane (automatic on first use when the offset mode requires it).
@@ -73,16 +67,8 @@ public:
     // can drop a lane that failed its self-test without perturbing its
     // neighbours.
 
-    /// Amplitude + phase of harmonic k, eqs. (4)-(5), over one record per
-    /// requested lane (records[i] belongs to lane lane_ids[i]).  Needs the
-    /// `scratch` arena of set_shared_resources.
-    std::vector<harmonic_measurement> measure_harmonic_lanes(
-        std::span<const std::size_t> lane_ids,
-        std::span<const std::span<const double>> records, std::size_t k,
-        std::size_t periods);
-
-    /// Harmonic k of the requested lanes over a shared record or a
-    /// lane-major block (see lane_records).
+    /// Amplitude + phase of harmonic k, eqs. (4)-(5), of the requested
+    /// lanes over a shared record or a lane-major block (see lane_records).
     std::vector<harmonic_measurement> measure_harmonic_lanes(
         std::span<const std::size_t> lane_ids, const lane_records& records, std::size_t k,
         std::size_t periods);
@@ -111,7 +97,6 @@ private:
     std::vector<signature_extractor> extractors_;
     std::vector<std::size_t> all_lanes_;
     demod_table_cache* shared_tables_ = nullptr;
-    arena* scratch_ = nullptr;
 };
 
 } // namespace bistna::eval

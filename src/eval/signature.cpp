@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "sd/modulator_bank.hpp"
 
@@ -19,8 +18,6 @@ demod_tables demod_tables::build(const acquisition_settings& settings) {
     tables.n_per_period = settings.n_per_period;
     tables.periods = settings.periods;
     tables.chopped = chop;
-    tables.q1.resize(total);
-    tables.q2.resize(total);
     tables.q1_sign.resize(total);
     tables.q2_sign.resize(total);
     tables.acc_sign.resize(total);
@@ -28,8 +25,6 @@ demod_tables demod_tables::build(const acquisition_settings& settings) {
         const bool invert = chop && n >= half;
         const bool q1 = (demod.in_phase_sign(n) > 0) != invert;
         const bool q2 = (demod.quadrature_sign(n) > 0) != invert;
-        tables.q1[n] = q1 ? 1 : 0;
-        tables.q2[n] = q2 ? 1 : 0;
         tables.q1_sign[n] = q1 ? 1.0 : -1.0;
         tables.q2_sign[n] = q2 ? 1.0 : -1.0;
         tables.acc_sign[n] = invert ? -1.0 : 1.0;
@@ -39,7 +34,7 @@ demod_tables demod_tables::build(const acquisition_settings& settings) {
 
 std::size_t demod_tables::bytes_for(const acquisition_settings& settings) noexcept {
     const std::size_t total = settings.periods * settings.n_per_period;
-    return total * (2 * sizeof(unsigned char) + 3 * sizeof(double));
+    return total * 3 * sizeof(double);
 }
 
 bool demod_tables::matches(const acquisition_settings& settings) const noexcept {
@@ -186,25 +181,26 @@ std::vector<signature_result> signature_extractor::acquire_batch_impl(
     // Build the matched modulator pair of every lane.  Per lane the RNG
     // consumption order is exactly the scalar acquire(): spawn ch1, spawn
     // ch2, then (optionally) draw the two initial states.
-    sd::modulator_bank bank1;
-    sd::modulator_bank bank2;
+    sd::modulator_bank bank;
     for (std::size_t l = 0; l < n_lanes; ++l) {
         signature_extractor& ex = *extractors[l];
-        bank1.add_lane(ex.params_, ex.rng_.spawn());
-        bank2.add_lane(ex.params_, ex.rng_.spawn());
+        const bistna::rng rng1 = ex.rng_.spawn();
+        const bistna::rng rng2 = ex.rng_.spawn();
+        bank.add_lane(ex.params_, rng1, rng2);
         if (settings.randomize_initial_state) {
-            bank1.reset_lane(l, ex.initial_state());
-            bank2.reset_lane(l, ex.initial_state());
+            const double state1 = ex.initial_state();
+            const double state2 = ex.initial_state();
+            bank.reset_lane(l, state1, state2);
         }
     }
 
-    // The two channels are independent modulators, so running bank1 over
-    // the whole record and then bank2 produces the same per-lane sequences
-    // as the scalar per-sample interleaving.  The +/-1 counter sums are
-    // exact in double (total << 2^53).
+    // The two channels are independent modulators advanced in the same
+    // pass, so each produces the sequence of the scalar per-sample
+    // interleaving.  The +/-1 counter sums are exact in double
+    // (total << 2^53).
     std::vector<double> acc1(n_lanes, 0.0);
     std::vector<double> acc2(n_lanes, 0.0);
-    accumulate(bank1, bank2, acc1.data(), acc2.data());
+    accumulate(bank, acc1.data(), acc2.data());
 
     std::vector<signature_result> results(n_lanes);
     for (std::size_t l = 0; l < n_lanes; ++l) {
@@ -239,41 +235,16 @@ std::vector<signature_result> signature_extractor::acquire_batch_impl(
     return results;
 }
 
-std::vector<signature_result> signature_extractor::acquire_batch(
-    std::span<signature_extractor* const> extractors,
-    std::span<const std::span<const double>> records, const acquisition_settings& settings,
-    const demod_tables& tables, arena& scratch) {
-    BISTNA_EXPECTS(extractors.size() == records.size(),
-                   "batch acquisition needs one record per lane");
-    const std::size_t total = settings.periods * settings.n_per_period;
-    std::vector<const double*> lane_records(records.size());
-    for (std::size_t l = 0; l < records.size(); ++l) {
-        BISTNA_EXPECTS(records[l].size() >= total, "lane record shorter than M*N samples");
-        lane_records[l] = records[l].data();
-    }
-    return acquire_batch_impl(
-        extractors, settings, tables,
-        [&](sd::modulator_bank& bank1, sd::modulator_bank& bank2, double* acc1,
-            double* acc2) {
-            bank1.accumulate(lane_records.data(), tables.q1.data(), tables.acc_sign.data(),
-                             total, acc1, scratch);
-            bank2.accumulate(lane_records.data(), tables.q2.data(), tables.acc_sign.data(),
-                             total, acc2, scratch);
-        });
-}
-
 std::vector<signature_result> signature_extractor::acquire_batch_lane_major(
     std::span<signature_extractor* const> extractors, const double* lane_major,
     const acquisition_settings& settings, const demod_tables& tables) {
     const std::size_t total = settings.periods * settings.n_per_period;
     return acquire_batch_impl(
         extractors, settings, tables,
-        [&](sd::modulator_bank& bank1, sd::modulator_bank& bank2, double* acc1,
-            double* acc2) {
-            bank1.accumulate_lane_major(lane_major, tables.q1_sign.data(),
-                                        tables.acc_sign.data(), total, acc1);
-            bank2.accumulate_lane_major(lane_major, tables.q2_sign.data(),
-                                        tables.acc_sign.data(), total, acc2);
+        [&](sd::modulator_bank& bank, double* acc1, double* acc2) {
+            bank.accumulate_lane_major(lane_major, tables.q1_sign.data(),
+                                       tables.q2_sign.data(), tables.acc_sign.data(), total,
+                                       acc1, acc2);
         });
 }
 
@@ -284,12 +255,10 @@ std::vector<signature_result> signature_extractor::acquire_batch_shared(
     BISTNA_EXPECTS(record.size() >= total, "shared record shorter than M*N samples");
     return acquire_batch_impl(
         extractors, settings, tables,
-        [&](sd::modulator_bank& bank1, sd::modulator_bank& bank2, double* acc1,
-            double* acc2) {
-            bank1.accumulate_shared(record.data(), tables.q1_sign.data(),
-                                    tables.acc_sign.data(), total, acc1);
-            bank2.accumulate_shared(record.data(), tables.q2_sign.data(),
-                                    tables.acc_sign.data(), total, acc2);
+        [&](sd::modulator_bank& bank, double* acc1, double* acc2) {
+            bank.accumulate_shared(record.data(), tables.q1_sign.data(),
+                                   tables.q2_sign.data(), tables.acc_sign.data(), total, acc1,
+                                   acc2);
         });
 }
 
@@ -301,18 +270,17 @@ void signature_extractor::calibrate_offset_batch(
     const std::size_t total = periods * n_per_period;
     const std::size_t n_lanes = extractors.size();
 
-    sd::modulator_bank bank1;
-    sd::modulator_bank bank2;
+    sd::modulator_bank bank;
     for (signature_extractor* extractor : extractors) {
         BISTNA_EXPECTS(extractor != nullptr, "null extractor lane");
-        bank1.add_lane(extractor->params_, extractor->rng_.spawn());
-        bank2.add_lane(extractor->params_, extractor->rng_.spawn());
+        const bistna::rng rng1 = extractor->rng_.spawn();
+        const bistna::rng rng2 = extractor->rng_.spawn();
+        bank.add_lane(extractor->params_, rng1, rng2);
     }
 
     std::vector<double> acc1(n_lanes, 0.0);
     std::vector<double> acc2(n_lanes, 0.0);
-    bank1.accumulate_grounded(total, acc1.data());
-    bank2.accumulate_grounded(total, acc2.data());
+    bank.accumulate_grounded(total, acc1.data(), acc2.data());
 
     for (std::size_t l = 0; l < n_lanes; ++l) {
         signature_extractor& ex = *extractors[l];

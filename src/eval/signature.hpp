@@ -21,10 +21,6 @@
 #include "eval/square_wave.hpp"
 #include "sd/modulator.hpp"
 
-namespace bistna {
-class arena;
-} // namespace bistna
-
 namespace bistna::eval {
 
 enum class offset_mode { none, calibrated, chopped };
@@ -57,14 +53,13 @@ struct signature_result {
 };
 
 /// Per-sample demodulation program of one acquisition: the q_k square-wave
-/// controls of both channels -- as the modulator bank's unsigned chars and
-/// as the exact +/-1 doubles the lane-major kernels consume -- plus the
-/// counter accumulation sign (negated in the chopped second half).  A pure
+/// controls of both channels as the exact +/-1 doubles the modulator bank
+/// consumes, plus the counter accumulation sign (negated in the chopped
+/// second half).  A pure
 /// function of the settings, so the lane path builds each table once per
 /// process (eval::demod_table_cache) and shares it across every work item.
 struct demod_tables {
-    std::vector<unsigned char> q1, q2;    ///< nonzero = positive modulation
-    std::vector<double> q1_sign, q2_sign; ///< the same controls as exact +/-1
+    std::vector<double> q1_sign, q2_sign; ///< q_k controls as exact +/-1
     std::vector<double> acc_sign;         ///< counter accumulation sign
     std::size_t harmonic_k = 0;
     std::size_t n_per_period = 0;
@@ -147,21 +142,12 @@ public:
     // Demodulation signs come from a prebuilt demod_tables
     // (eval::demod_table_cache), so no acquisition rebuilds them per call.
 
-    /// Batched acquire: lane i accumulates its signatures from records[i]
-    /// (the rendered record on the master-clock grid, length >= M*N), all
-    /// lanes stepped in lockstep through one modulator bank per channel,
-    /// with the blocked transpose scratch bump-allocated from `scratch`.
-    /// Bit-identical to extractors[i]->acquire(as_source(records[i]), s).
-    static std::vector<signature_result> acquire_batch(
-        std::span<signature_extractor* const> extractors,
-        std::span<const std::span<const double>> records,
-        const acquisition_settings& settings, const demod_tables& tables,
-        arena& scratch);
-
     /// Batched acquire over one lane-major record block: lane i's sample n
     /// lives at lane_major[n * extractors.size() + i] -- exactly the layout
     /// dut::state_space_bank emits, so render feeds measure with no
-    /// transpose at all.
+    /// transpose at all.  All lanes' matched pairs step in lockstep through
+    /// one modulator bank; bit-identical to extractors[i]->acquire() over
+    /// lane i's samples.
     static std::vector<signature_result> acquire_batch_lane_major(
         std::span<signature_extractor* const> extractors, const double* lane_major,
         const acquisition_settings& settings, const demod_tables& tables);
@@ -177,9 +163,9 @@ private:
     void validate(const acquisition_settings& settings) const;
     double initial_state();
 
-    /// Shared skeleton of the batched acquires: validate, build the two
-    /// lockstep banks with the scalar RNG consumption order, run
-    /// `accumulate(bank1, bank2, acc1, acc2)`, assemble per-lane results.
+    /// Shared skeleton of the batched acquires: validate, build the pair
+    /// bank with the scalar RNG consumption order, run
+    /// `accumulate(bank, acc1, acc2)`, assemble per-lane results.
     template <typename Accumulate>
     static std::vector<signature_result> acquire_batch_impl(
         std::span<signature_extractor* const> extractors,

@@ -1,78 +1,71 @@
 #include "sd/modulator_bank.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/kernel.hpp"
 
 namespace bistna::sd {
 
-// Restrict-qualified views of the lane arrays: the hot loops below are the
-// whole point of the bank, and without the no-alias promise the compiler
-// must assume acc/records overlap the state lanes and give up on
-// vectorizing.
-struct lane_view {
-    double* __restrict state;
-    double* __restrict last;
-    const double* __restrict leak;
-    const double* __restrict b;
-    const double* __restrict vref;
-    const double* __restrict input_offset;
-    const double* __restrict settle_gain;
-    const double* __restrict swing;
-    const double* __restrict cmp_offset;
-    const double* __restrict cmp_hyst;
-    const double* __restrict noise_rms;
-    double* __restrict clip;
+/// The bank's lane arrays as the kernels see them: the per-lane constants
+/// once, the per-channel state twice.
+struct pair_lanes {
+    double* state[modulator_bank::channels];
+    double* last[modulator_bank::channels];
+    double* clip[modulator_bank::channels];
+    bistna::rng* rng[modulator_bank::channels];
+    const double* leak;
+    const double* b;
+    const double* vref;
+    const double* input_offset;
+    const double* settle_gain;
+    const double* swing;
+    const double* thr_after_pos;
+    const double* thr_after_neg;
+    const double* noise_rms;
 };
 
-/// One noiseless kernel call: the lane range, the input and the lane arrays.
-struct tile_args {
-    std::size_t lane_begin = 0; ///< first lane, a multiple of the tile width
-    std::size_t lane_end = 0;   ///< one past the last lane of the last full tile
+/// Where a lane's input comes from: a lane-major block, one record every
+/// lane reads, or ground (x = 0, positive modulation, unit counter sign).
+enum class pair_input { lane_major, broadcast, grounded };
+
+/// One accumulate call as the kernels consume it.
+struct pair_run {
+    pair_input input = pair_input::lane_major;
+    bool mirror = false;        ///< grounded: channel 1 copies channel 0
+    std::size_t lane_begin = 0; ///< lanes [lane_begin, lane_end) of the call
+    std::size_t lane_end = 0;
     std::size_t count = 0;
-    const double* x = nullptr;  ///< lane 0 of lane-major rows (stride x_stride), or one record
-    std::size_t x_stride = 0;
-    const double* qsigns = nullptr;
-    const double* acc_signs = nullptr;
-    double* acc = nullptr;
-    double* state = nullptr;
-    double* last = nullptr;
-    double* clip = nullptr;
-    const double* leak = nullptr;
-    const double* b = nullptr;
-    const double* vref = nullptr;
-    const double* input_offset = nullptr;
-    const double* settle_gain = nullptr;
-    const double* swing = nullptr;
-    const double* cmp_offset = nullptr;
-    const double* cmp_hyst = nullptr;
+    const double* x = nullptr; ///< lane 0 of row 0 (lane-major), or the record
+    std::size_t x_stride = 0;  ///< lane-major row stride
+    const double* q[modulator_bank::channels] = {nullptr, nullptr};
+    const double* acc_sign = nullptr;
+    double* acc[modulator_bank::channels] = {nullptr, nullptr};
+    pair_lanes lanes{};
 };
 
 namespace {
 
-
-/// One lane's master-clock sample: the exact arithmetic of
+/// One channel's master-clock sample of one lane: the exact arithmetic of
 /// sd_modulator::step (comparator decide, input modulation, leaky
-/// integrator update, swing clip), straight-line per lane.  WithNoise lanes
-/// keep the per-sample draw conditional on their own noise_rms so a
-/// noiseless lane in a mixed bank still matches its scalar counterpart bit
-/// for bit.
+/// integrator update, swing clip).  WithNoise keeps the per-sample draw
+/// conditional on the lane's own noise_rms, so a noiseless lane in a mixed
+/// bank still matches its scalar counterpart bit for bit.
 template <bool WithNoise>
-inline double advance_lane(const lane_view& v, bistna::rng* rngs, std::size_t l, double x,
+inline double advance_lane(const pair_lanes& v, std::size_t c, std::size_t l, double x,
                            bool modulation_positive) noexcept {
-    const double s = v.state[l];
-    const double threshold =
-        v.cmp_offset[l] + (v.last[l] > 0.0 ? -v.cmp_hyst[l] : +v.cmp_hyst[l]) * 0.5;
+    const double s = v.state[c][l];
+    const double threshold = v.last[c][l] > 0.0 ? v.thr_after_pos[l] : v.thr_after_neg[l];
     const double bit = s >= threshold ? 1.0 : -1.0;
-    v.last[l] = bit;
+    v.last[c][l] = bit;
 
     const double modulated = (modulation_positive ? x : -x) + v.input_offset[l];
     double increment;
     if constexpr (WithNoise) {
         increment = v.noise_rms[l] > 0.0
-                        ? v.b[l] * (modulated + rngs[l].gaussian(0.0, v.noise_rms[l]) -
+                        ? v.b[l] * (modulated + v.rng[c][l].gaussian(0.0, v.noise_rms[l]) -
                                     bit * v.vref[l])
                         : v.b[l] * (modulated - bit * v.vref[l]);
     } else {
@@ -81,46 +74,43 @@ inline double advance_lane(const lane_view& v, bistna::rng* rngs, std::size_t l,
 
     const double next = v.leak[l] * s + increment * v.settle_gain[l];
     const double clipped = std::clamp(next, -v.swing[l], v.swing[l]);
-    v.clip[l] += clipped != next ? 1.0 : 0.0;
-    v.state[l] = clipped;
+    v.clip[c][l] += clipped != next ? 1.0 : 0.0;
+    v.state[c][l] = clipped;
     return bit;
 }
 
-// ---------------------------------------------------------------------------
-// Branchless all-noiseless kernels: the arithmetic is the sd_modulator::step
-// sequence with the two per-lane ternaries replaced by exact sign flips --
-// (last > 0 ? -h : +h) == (-last) * h and (q ? x : -x) == qsign * x when
-// last/qsign are exactly +/-1 (multiplication by +/-1.0 is exact in IEEE
-// 754) -- so every lane stays bit-identical to its scalar counterpart while
-// the loop body becomes pure straight-line selects the compiler vectorizes
-// across lanes.
-// ---------------------------------------------------------------------------
+/// Lanes [begin, end) of `run`, one lane and one sample at a time: noisy
+/// banks, and the lanes the vector tiles leave over.
+template <bool WithNoise>
+void run_per_lane(const pair_run& run, std::size_t begin, std::size_t end) noexcept {
+    for (std::size_t l = begin; l < end; ++l) {
+        for (std::size_t n = 0; n < run.count; ++n) {
+            double x = 0.0;
+            bool q1 = true;
+            bool q2 = true;
+            double sign = 1.0;
+            if (run.input != pair_input::grounded) {
+                x = run.input == pair_input::lane_major ? run.x[n * run.x_stride + l]
+                                                        : run.x[n];
+                q1 = run.q[0][n] > 0.0;
+                q2 = run.q[1][n] > 0.0;
+                sign = run.acc_sign[n];
+            }
+            run.acc[0][l] += sign * advance_lane<WithNoise>(run.lanes, 0, l, x, q1);
+            run.acc[1][l] += sign * advance_lane<WithNoise>(run.lanes, 1, l, x, q2);
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
-// The register-resident noiseless kernel.  A tile of W lanes (one generic
-// vector: 8 doubles on the AVX-512F entry, 4 elsewhere) keeps its state,
-// last decision, clip count and accumulator in registers across the whole
-// sample loop and stores them back once.  Everything that does not depend
-// on the state is hoisted off the loop-carried chain, exactly:
-//
-//  * the threshold is one of two per-lane constants, offset + (-h) * 0.5
-//    after a +1 decision and offset + h * 0.5 after a -1 -- the values the
-//    scalar comparator computes, selected instead of recomputed;
-//  * bit * vref is exactly vref or -vref (bit is +/-1), so both increment
-//    candidates (b * (m - vref)) * g and (b * (m - (-vref))) * g are
-//    computed from the input alone and the decision selects one -- the
-//    same two roundings the scalar step performs on the chosen branch.
-//    Folding b * g into one per-lane constant would round differently.
-//  * the counter adds +sign or -sign, which is sign * bit exactly.
-//
-// Generic vectors are used because a template body inlined into a plain
-// entry point is lowered at that entry point's ISA; an 8-wide body would be
-// scalarized in the AVX2 clone, so the AVX-512F entry is a separate
-// target("avx512f") function picked at run time.
+// The fused pair kernel.  One body over a generic vector V of lanes (see
+// modulator_bank.hpp for why each hoisted step is exact).  Generic vectors
+// keep a tile's state in registers, which the auto-vectorizer does not; a
+// template body is lowered at the ISA of the plain entry point it is
+// inlined into, so the body is stamped twice: 4 lanes under
+// BISTNA_KERNEL_CLONES and 8 lanes under target("avx512f") -- an 8-lane
+// body in the AVX2 clone would be scalarized.
 // ---------------------------------------------------------------------------
-
-enum class input_mode { lane_major, broadcast, grounded };
-
 
 template <class V>
 [[gnu::always_inline]] inline V load_lanes(const double* p) noexcept {
@@ -134,71 +124,119 @@ template <class V>
     __builtin_memcpy(p, &v, sizeof v);
 }
 
-template <class V, input_mode Input>
-[[gnu::always_inline]] inline void run_tiles(const tile_args& a) noexcept {
-    constexpr std::size_t width = sizeof(V) / sizeof(double);
-    const V zero{};
-    const V one = zero + 1.0;
-    const V minus_one = zero - 1.0;
-    for (std::size_t l = a.lane_begin; l < a.lane_end; l += width) {
-        const V leak = load_lanes<V>(a.leak + l);
-        const V b = load_lanes<V>(a.b + l);
-        const V vref = load_lanes<V>(a.vref + l);
-        const V neg_vref = -vref;
-        const V offset = load_lanes<V>(a.input_offset + l);
-        const V gain = load_lanes<V>(a.settle_gain + l);
-        const V hi = load_lanes<V>(a.swing + l);
-        const V lo = -hi;
-        const V cmp_offset = load_lanes<V>(a.cmp_offset + l);
-        const V hyst = load_lanes<V>(a.cmp_hyst + l);
-        const V thr_after_pos = cmp_offset + (-hyst) * 0.5;
-        const V thr_after_neg = cmp_offset + hyst * 0.5;
+template <class V>
+struct channel_regs {
+    V s, last, acc, clip;
+};
 
-        V s = load_lanes<V>(a.state + l);
-        V last = load_lanes<V>(a.last + l);
-        V acc = load_lanes<V>(a.acc + l);
-        V clip = load_lanes<V>(a.clip + l);
-        const double* x = a.x + l;
-        for (std::size_t j = 0; j < a.count; ++j) {
-            V m;
-            double sign = 1.0;
-            if constexpr (Input == input_mode::lane_major) {
-                m = a.qsigns[j] * load_lanes<V>(x + j * a.x_stride) + offset;
-                sign = a.acc_signs[j];
-            } else if constexpr (Input == input_mode::broadcast) {
-                m = (zero + a.qsigns[j] * a.x[j]) + offset;
-                sign = a.acc_signs[j];
+template <class V>
+struct lane_consts {
+    V leak, b, vref, neg_vref, offset, gain, lo, hi, thr_after_pos, thr_after_neg;
+};
+
+template <class V>
+[[gnu::always_inline]] inline channel_regs<V> load_channel(const pair_run& run, std::size_t c,
+                                                          std::size_t l) noexcept {
+    return {load_lanes<V>(run.lanes.state[c] + l), load_lanes<V>(run.lanes.last[c] + l),
+            load_lanes<V>(run.acc[c] + l), load_lanes<V>(run.lanes.clip[c] + l)};
+}
+
+template <class V>
+[[gnu::always_inline]] inline void store_channel(const pair_run& run, std::size_t c,
+                                                 std::size_t l,
+                                                 const channel_regs<V>& ch) noexcept {
+    store_lanes(run.lanes.state[c] + l, ch.s);
+    store_lanes(run.lanes.last[c] + l, ch.last);
+    store_lanes(run.acc[c] + l, ch.acc);
+    store_lanes(run.lanes.clip[c] + l, ch.clip);
+}
+
+/// One channel's sample over a tile: `m` is the modulated input
+/// (q * x) + offset, `sign` the counter sign.  The candidates, the
+/// threshold select and leak * s are off the state's chain; only compare,
+/// select, add and clip are on it.
+template <class V>
+[[gnu::always_inline]] inline void advance_tile(channel_regs<V>& ch, const lane_consts<V>& k,
+                                                V m, double sign) noexcept {
+    const V zero{};
+    const V up = k.b * (m - k.vref) * k.gain;       // bit = +1
+    const V down = k.b * (m - k.neg_vref) * k.gain; // bit = -1
+    const V threshold = ch.last > 0.0 ? k.thr_after_pos : k.thr_after_neg;
+    const V next = k.leak * ch.s + (ch.s >= threshold ? up : down);
+    ch.acc += ch.s >= threshold ? zero + sign : zero - sign;
+    ch.last = ch.s >= threshold ? zero + 1.0 : zero - 1.0;
+    const V clipped = next < k.lo ? k.lo : (next > k.hi ? k.hi : next);
+    ch.clip += clipped != next ? zero + 1.0 : zero;
+    ch.s = clipped;
+}
+
+template <class V, pair_input Input, bool Mirror>
+[[gnu::always_inline]] inline void run_tiles(const pair_run& run) noexcept {
+    constexpr std::size_t width = sizeof(V) / sizeof(double);
+    const pair_lanes& v = run.lanes;
+    const V zero{};
+    for (std::size_t l = run.lane_begin; l < run.lane_end; l += width) {
+        lane_consts<V> k;
+        k.leak = load_lanes<V>(v.leak + l);
+        k.b = load_lanes<V>(v.b + l);
+        k.vref = load_lanes<V>(v.vref + l);
+        k.neg_vref = -k.vref;
+        k.offset = load_lanes<V>(v.input_offset + l);
+        k.gain = load_lanes<V>(v.settle_gain + l);
+        k.hi = load_lanes<V>(v.swing + l);
+        k.lo = -k.hi;
+        k.thr_after_pos = load_lanes<V>(v.thr_after_pos + l);
+        k.thr_after_neg = load_lanes<V>(v.thr_after_neg + l);
+
+        channel_regs<V> ch1 = load_channel<V>(run, 0, l);
+        channel_regs<V> ch2 = load_channel<V>(run, 1, l);
+        for (std::size_t n = 0; n < run.count; ++n) {
+            if constexpr (Input == pair_input::lane_major) {
+                const V x = load_lanes<V>(run.x + n * run.x_stride + l);
+                advance_tile(ch1, k, run.q[0][n] * x + k.offset, run.acc_sign[n]);
+                advance_tile(ch2, k, run.q[1][n] * x + k.offset, run.acc_sign[n]);
+            } else if constexpr (Input == pair_input::broadcast) {
+                const double x = run.x[n];
+                advance_tile(ch1, k, (zero + run.q[0][n] * x) + k.offset, run.acc_sign[n]);
+                advance_tile(ch2, k, (zero + run.q[1][n] * x) + k.offset, run.acc_sign[n]);
             } else {
-                m = zero + offset; // (q ? 0.0 : -0.0) + offset with q positive
+                const V m = zero + k.offset; // (q ? 0.0 : -0.0) + offset, q positive
+                advance_tile(ch1, k, m, 1.0);
+                if constexpr (!Mirror) {
+                    advance_tile(ch2, k, m, 1.0);
+                }
             }
-            const V up = b * (m - vref) * gain;
-            const V down = b * (m - neg_vref) * gain;
-            const V thr = last > 0.0 ? thr_after_pos : thr_after_neg;
-            const V next = leak * s + (s >= thr ? up : down);
-            acc += s >= thr ? zero + sign : zero - sign;
-            last = s >= thr ? one : minus_one;
-            const V clipped = next < lo ? lo : (next > hi ? hi : next);
-            clip += clipped != next ? one : zero;
-            s = clipped;
         }
-        store_lanes(a.state + l, s);
-        store_lanes(a.last + l, last);
-        store_lanes(a.acc + l, acc);
-        store_lanes(a.clip + l, clip);
+        if constexpr (Mirror) {
+            // Same machine, same start, same input: channel 1 ends where
+            // channel 0 does, and its counters move by the same (exact,
+            // integer) amounts.
+            const channel_regs<V> start = load_channel<V>(run, 0, l);
+            ch2.acc += ch1.acc - start.acc;
+            ch2.clip += ch1.clip - start.clip;
+            ch2.s = ch1.s;
+            ch2.last = ch1.last;
+        }
+        store_channel(run, 0, l, ch1);
+        store_channel(run, 1, l, ch2);
     }
 }
 
 template <class V>
-[[gnu::always_inline]] inline void run_tiles_for(input_mode input, const tile_args& a) noexcept {
-    switch (input) {
-    case input_mode::lane_major:
-        run_tiles<V, input_mode::lane_major>(a);
+[[gnu::always_inline]] inline void run_tiles_for(const pair_run& run) noexcept {
+    switch (run.input) {
+    case pair_input::lane_major:
+        run_tiles<V, pair_input::lane_major, false>(run);
         break;
-    case input_mode::broadcast:
-        run_tiles<V, input_mode::broadcast>(a);
+    case pair_input::broadcast:
+        run_tiles<V, pair_input::broadcast, false>(run);
         break;
-    case input_mode::grounded:
-        run_tiles<V, input_mode::grounded>(a);
+    case pair_input::grounded:
+        if (run.mirror) {
+            run_tiles<V, pair_input::grounded, true>(run);
+        } else {
+            run_tiles<V, pair_input::grounded, false>(run);
+        }
         break;
     }
 }
@@ -208,236 +246,183 @@ using lanes4 = double __attribute__((vector_size(4 * sizeof(double))));
 // Runtime-dispatched default / AVX2 / AVX-512F clones where the toolchain
 // supports them (see common/kernel.hpp for why sanitizer builds fall back
 // to the plain kernel and why the clones stay bit-identical).
-BISTNA_KERNEL_CLONES void run_tiles4(input_mode input, const tile_args& a) noexcept {
-    run_tiles_for<lanes4>(input, a);
+BISTNA_KERNEL_CLONES void run_tiles4(const pair_run& run) noexcept {
+    run_tiles_for<lanes4>(run);
 }
 
 #ifdef BISTNA_KERNEL_AVX512
 using lanes8 = double __attribute__((vector_size(8 * sizeof(double))));
 
-BISTNA_KERNEL_AVX512 void run_tiles8(input_mode input, const tile_args& a) noexcept {
-    run_tiles_for<lanes8>(input, a);
+BISTNA_KERNEL_AVX512 void run_tiles8(const pair_run& run) noexcept {
+    run_tiles_for<lanes8>(run);
 }
 #endif
 
-/// The noiseless lanes of one accumulate call: full 8-lane tiles on the
-/// AVX-512F entry where the CPU has it, then 4-lane tiles, then the
-/// remaining (< 4) lanes through the per-lane reference step.
-void run_noiseless(input_mode input, tile_args a, std::size_t n_lanes,
-                   const lane_view& v, bistna::rng* rngs) noexcept {
+/// Every lane of a noiseless bank: 8-lane tiles where the CPU has
+/// AVX-512F, then 4-lane tiles, then the < 4 lanes left one at a time.
+void run_noiseless(pair_run run, std::size_t n_lanes) noexcept {
     std::size_t done = 0;
 #ifdef BISTNA_KERNEL_AVX512
     if (cpu_has_avx512f()) {
-        a.lane_begin = 0;
-        a.lane_end = n_lanes - n_lanes % 8;
-        run_tiles8(input, a);
-        done = a.lane_end;
+        run.lane_begin = 0;
+        run.lane_end = n_lanes / 8 * 8;
+        run_tiles8(run);
+        done = run.lane_end;
     }
 #endif
-    a.lane_begin = done;
-    a.lane_end = done + (n_lanes - done) / 4 * 4;
-    run_tiles4(input, a);
-    for (std::size_t l = a.lane_end; l < n_lanes; ++l) {
-        for (std::size_t j = 0; j < a.count; ++j) {
-            double x = 0.0;
-            bool q = true;
-            double sign = 1.0;
-            if (input == input_mode::lane_major) {
-                x = a.x[j * a.x_stride + l];
-            } else if (input == input_mode::broadcast) {
-                x = a.x[j];
-            }
-            if (input != input_mode::grounded) {
-                q = a.qsigns[j] > 0.0;
-                sign = a.acc_signs[j];
-            }
-            a.acc[l] += sign * advance_lane<false>(v, rngs, l, x, q);
-        }
-    }
+    run.lane_begin = done;
+    run.lane_end = done + (n_lanes - done) / 4 * 4;
+    run_tiles4(run);
+    run_per_lane<false>(run, run.lane_end, n_lanes);
 }
 
 } // namespace
 
-std::size_t modulator_bank::add_lane(const modulator_params& params, bistna::rng noise_rng) {
+std::size_t modulator_bank::add_lane(const modulator_params& params, bistna::rng rng1,
+                                     bistna::rng rng2) {
     BISTNA_EXPECTS(params.ci_over_cf > 0.0, "CI/CF must be positive");
     BISTNA_EXPECTS(params.vref > 0.0, "Vref must be positive");
 
-    state_.push_back(0.0);
-    last_.push_back(1.0);
+    const bistna::rng rngs[channels] = {rng1, rng2};
+    for (std::size_t c = 0; c < channels; ++c) {
+        state_[c].push_back(0.0);
+        last_[c].push_back(1.0);
+        clip_[c].push_back(0.0);
+        rng_[c].push_back(rngs[c]);
+    }
     leak_.push_back(params.integrator_leak());
     b_.push_back(params.ci_over_cf);
     vref_.push_back(params.vref);
     input_offset_.push_back(params.input_offset);
     settle_gain_.push_back(1.0 - params.settling_error);
     swing_.push_back(params.integrator_swing);
-    cmp_offset_.push_back(params.comparator_offset);
-    cmp_hyst_.push_back(params.comparator_hysteresis);
+    // comparator::decide's two thresholds, by the last decision.
+    thr_after_pos_.push_back(params.comparator_offset +
+                             (-params.comparator_hysteresis) * 0.5);
+    thr_after_neg_.push_back(params.comparator_offset + params.comparator_hysteresis * 0.5);
     noise_rms_.push_back(params.noise_rms);
-    clip_.push_back(0.0);
-    rng_.push_back(noise_rng);
     params_.push_back(params);
     any_noise_ = any_noise_ || params.noisy();
-    return state_.size() - 1;
+    return params_.size() - 1;
 }
 
-void modulator_bank::step(const double* inputs, bool modulation_positive,
-                          double* bits_out) noexcept {
-    const lane_view v = view();
-    const std::size_t n_lanes = lanes();
+pair_lanes modulator_bank::view() noexcept {
+    pair_lanes v{};
+    for (std::size_t c = 0; c < channels; ++c) {
+        v.state[c] = state_[c].data();
+        v.last[c] = last_[c].data();
+        v.clip[c] = clip_[c].data();
+        v.rng[c] = rng_[c].data();
+    }
+    v.leak = leak_.data();
+    v.b = b_.data();
+    v.vref = vref_.data();
+    v.input_offset = input_offset_.data();
+    v.settle_gain = settle_gain_.data();
+    v.swing = swing_.data();
+    v.thr_after_pos = thr_after_pos_.data();
+    v.thr_after_neg = thr_after_neg_.data();
+    v.noise_rms = noise_rms_.data();
+    return v;
+}
+
+void modulator_bank::run(pair_run& run) noexcept {
+    run.lanes = view();
     if (any_noise_) {
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            bits_out[l] = advance_lane<true>(v, rng_.data(), l, inputs[l], modulation_positive);
-        }
+        run_per_lane<true>(run, 0, lanes());
     } else {
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            bits_out[l] =
-                advance_lane<false>(v, rng_.data(), l, inputs[l], modulation_positive);
+        run_noiseless(run, lanes());
+    }
+}
+
+bool modulator_bank::channels_agree() const noexcept {
+    for (std::size_t l = 0; l < lanes(); ++l) {
+        if (std::bit_cast<std::uint64_t>(state_[0][l]) !=
+                std::bit_cast<std::uint64_t>(state_[1][l]) ||
+            last_[0][l] != last_[1][l]) {
+            return false;
+        }
+    }
+    return true;
+}
+
+void modulator_bank::step(const double* inputs, bool q1, bool q2, double* bits1,
+                          double* bits2) noexcept {
+    const pair_lanes v = view();
+    for (std::size_t l = 0; l < lanes(); ++l) {
+        if (any_noise_) {
+            bits1[l] = advance_lane<true>(v, 0, l, inputs[l], q1);
+            bits2[l] = advance_lane<true>(v, 1, l, inputs[l], q2);
+        } else {
+            bits1[l] = advance_lane<false>(v, 0, l, inputs[l], q1);
+            bits2[l] = advance_lane<false>(v, 1, l, inputs[l], q2);
         }
     }
 }
 
-void modulator_bank::accumulate_lane_major(const double* xs, const double* qsigns,
-                                           const double* acc_signs, std::size_t count,
-                                           double* acc) noexcept {
-    const std::size_t n_lanes = lanes();
-    if (any_noise_) {
-        const lane_view v = view();
-        for (std::size_t n = 0; n < count; ++n) {
-            const bool q = qsigns[n] > 0.0;
-            const double sign = acc_signs[n];
-            const double* row = xs + n * n_lanes;
-            for (std::size_t l = 0; l < n_lanes; ++l) {
-                acc[l] += sign * advance_lane<true>(v, rng_.data(), l, row[l], q);
-            }
-        }
-        return;
-    }
-    // The record is already lane-major: the lockstep kernel consumes it
-    // directly, with no per-call transpose at all.
-    run_noiseless(input_mode::lane_major, tiles(xs, n_lanes, qsigns, acc_signs, count, acc),
-                  n_lanes, view(), rng_.data());
+void modulator_bank::accumulate_lane_major(const double* xs, const double* q1,
+                                           const double* q2, const double* acc_signs,
+                                           std::size_t count, double* acc1,
+                                           double* acc2) noexcept {
+    pair_run r;
+    r.input = pair_input::lane_major;
+    r.count = count;
+    r.x = xs;
+    r.x_stride = lanes();
+    r.q[0] = q1;
+    r.q[1] = q2;
+    r.acc_sign = acc_signs;
+    r.acc[0] = acc1;
+    r.acc[1] = acc2;
+    run(r);
 }
 
-void modulator_bank::accumulate_shared(const double* record, const double* qsigns,
-                                       const double* acc_signs, std::size_t count,
-                                       double* acc) noexcept {
-    const std::size_t n_lanes = lanes();
-    if (any_noise_) {
-        const lane_view v = view();
-        for (std::size_t n = 0; n < count; ++n) {
-            const bool q = qsigns[n] > 0.0;
-            const double sign = acc_signs[n];
-            for (std::size_t l = 0; l < n_lanes; ++l) {
-                acc[l] += sign * advance_lane<true>(v, rng_.data(), l, record[n], q);
-            }
-        }
-        return;
-    }
-    run_noiseless(input_mode::broadcast, tiles(record, 1, qsigns, acc_signs, count, acc),
-                  n_lanes, view(), rng_.data());
+void modulator_bank::accumulate_shared(const double* record, const double* q1,
+                                       const double* q2, const double* acc_signs,
+                                       std::size_t count, double* acc1,
+                                       double* acc2) noexcept {
+    pair_run r;
+    r.input = pair_input::broadcast;
+    r.count = count;
+    r.x = record;
+    r.q[0] = q1;
+    r.q[1] = q2;
+    r.acc_sign = acc_signs;
+    r.acc[0] = acc1;
+    r.acc[1] = acc2;
+    run(r);
 }
 
-void modulator_bank::accumulate(const double* const* records, const unsigned char* qs,
-                                const double* acc_signs, std::size_t count, double* acc,
-                                arena& scratch) noexcept {
-    const std::size_t n_lanes = lanes();
-    if (any_noise_) {
-        const lane_view v = view();
-        for (std::size_t n = 0; n < count; ++n) {
-            const bool q = qs[n] != 0;
-            const double sign = acc_signs[n];
-            for (std::size_t l = 0; l < n_lanes; ++l) {
-                acc[l] += sign * advance_lane<true>(v, rng_.data(), l, records[l][n], q);
-            }
-        }
-        return;
-    }
-
-    // Noiseless fast path: transpose the per-lane records into lane-major
-    // blocks so the lockstep kernel reads one contiguous row per sample
-    // (the compiler cannot vectorize the records[l][n] pointer-chase).
-    constexpr std::size_t block = 128;
-    const auto transposed = scratch.allocate<double>(block * n_lanes);
-    const auto qsigns = scratch.allocate<double>(block);
-    for (std::size_t n0 = 0; n0 < count; n0 += block) {
-        const std::size_t samples = std::min(block, count - n0);
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            const double* __restrict record = records[l] + n0;
-            double* __restrict column = transposed.data() + l;
-            for (std::size_t j = 0; j < samples; ++j) {
-                column[j * n_lanes] = record[j];
-            }
-        }
-        for (std::size_t j = 0; j < samples; ++j) {
-            qsigns[j] = qs[n0 + j] != 0 ? 1.0 : -1.0;
-        }
-        run_noiseless(input_mode::lane_major,
-                      tiles(transposed.data(), n_lanes, qsigns.data(), acc_signs + n0,
-                            samples, acc),
-                      n_lanes, view(), rng_.data());
-    }
+void modulator_bank::accumulate_grounded(std::size_t count, double* acc1,
+                                         double* acc2) noexcept {
+    pair_run r;
+    r.input = pair_input::grounded;
+    r.mirror = channels_agree();
+    r.count = count;
+    r.acc[0] = acc1;
+    r.acc[1] = acc2;
+    run(r);
 }
 
-void modulator_bank::accumulate_grounded(std::size_t count, double* acc) noexcept {
-    const std::size_t n_lanes = lanes();
-    if (any_noise_) {
-        const lane_view v = view();
-        for (std::size_t n = 0; n < count; ++n) {
-            for (std::size_t l = 0; l < n_lanes; ++l) {
-                acc[l] += advance_lane<true>(v, rng_.data(), l, 0.0, true);
-            }
-        }
-        return;
-    }
-    run_noiseless(input_mode::grounded, tiles(nullptr, 0, nullptr, nullptr, count, acc),
-                  n_lanes, view(), rng_.data());
-}
-
-lane_view modulator_bank::view() noexcept {
-    return {state_.data(),       last_.data(),  leak_.data(),       b_.data(),
-            vref_.data(),        input_offset_.data(), settle_gain_.data(), swing_.data(),
-            cmp_offset_.data(),  cmp_hyst_.data(), noise_rms_.data(), clip_.data()};
-}
-
-tile_args modulator_bank::tiles(const double* x, std::size_t x_stride, const double* qsigns,
-                                const double* acc_signs, std::size_t count,
-                                double* acc) noexcept {
-    tile_args a;
-    a.count = count;
-    a.x = x;
-    a.x_stride = x_stride;
-    a.qsigns = qsigns;
-    a.acc_signs = acc_signs;
-    a.acc = acc;
-    a.state = state_.data();
-    a.last = last_.data();
-    a.clip = clip_.data();
-    a.leak = leak_.data();
-    a.b = b_.data();
-    a.vref = vref_.data();
-    a.input_offset = input_offset_.data();
-    a.settle_gain = settle_gain_.data();
-    a.swing = swing_.data();
-    a.cmp_offset = cmp_offset_.data();
-    a.cmp_hyst = cmp_hyst_.data();
-    return a;
-}
-
-void modulator_bank::reset_lane(std::size_t lane, double initial_state) {
+void modulator_bank::reset_lane(std::size_t lane, double initial_state1,
+                                double initial_state2) {
     BISTNA_EXPECTS(lane < lanes(), "lane index out of range");
-    state_[lane] = initial_state;
-    last_[lane] = 1.0;
-    clip_[lane] = 0.0;
+    const double initial[channels] = {initial_state1, initial_state2};
+    for (std::size_t c = 0; c < channels; ++c) {
+        state_[c][lane] = initial[c];
+        last_[c][lane] = 1.0;
+        clip_[c][lane] = 0.0;
+    }
 }
 
-double modulator_bank::state(std::size_t lane) const {
-    BISTNA_EXPECTS(lane < lanes(), "lane index out of range");
-    return state_[lane];
+double modulator_bank::state(std::size_t lane, std::size_t channel) const {
+    BISTNA_EXPECTS(lane < lanes() && channel < channels, "lane index out of range");
+    return state_[channel][lane];
 }
 
-std::size_t modulator_bank::clip_events(std::size_t lane) const {
-    BISTNA_EXPECTS(lane < lanes(), "lane index out of range");
-    return static_cast<std::size_t>(clip_[lane]);
+std::size_t modulator_bank::clip_events(std::size_t lane, std::size_t channel) const {
+    BISTNA_EXPECTS(lane < lanes() && channel < channels, "lane index out of range");
+    return static_cast<std::size_t>(clip_[channel][lane]);
 }
 
 const modulator_params& modulator_bank::params(std::size_t lane) const {

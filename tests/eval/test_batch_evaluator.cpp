@@ -1,14 +1,12 @@
-// Tests for the batched acquisition path: signature_extractor::acquire_batch
-// / calibrate_offset_batch and the batch_evaluator layer must be
+// Tests for the batched acquisition path: signature_extractor's lane-major
+// acquire / calibrate_offset_batch and the batch_evaluator layer must be
 // bit-identical per lane to the scalar reference implementations.
 #include "common/error.hpp"
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <span>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/math_util.hpp"
 #include "eval/batch_evaluator.hpp"
 #include "eval/evaluator.hpp"
@@ -38,6 +36,19 @@ std::vector<double> lane_record(std::size_t lane, std::size_t periods) {
                     0.02 * std::sin(3.0 * angle) + 0.01;
     }
     return record;
+}
+
+/// Per-lane records transposed into the lane-major layout the batched
+/// kernels read: lane l's sample n at out[n * records.size() + l].
+std::vector<double> lane_major_block(const std::vector<std::vector<double>>& records) {
+    const std::size_t lanes = records.size();
+    std::vector<double> out(records.front().size() * lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        for (std::size_t n = 0; n < records[l].size(); ++n) {
+            out[n * lanes + l] = records[l][n];
+        }
+    }
+    return out;
 }
 
 void expect_identical(const signature_result& a, const signature_result& b) {
@@ -79,19 +90,17 @@ TEST_P(AcquireBatchModes, BitIdenticalToScalarAcquirePerLane) {
     }
 
     std::vector<signature_extractor*> lane_ptrs;
-    std::vector<std::span<const double>> spans;
     for (std::size_t l = 0; l < n_lanes; ++l) {
         if (mode == offset_mode::calibrated) {
             batch_lanes[l].calibrate_offset(64);
             scalar_lanes[l].calibrate_offset(64);
         }
         lane_ptrs.push_back(&batch_lanes[l]);
-        spans.emplace_back(records[l]);
     }
 
-    arena scratch;
-    const auto batched = signature_extractor::acquire_batch(
-        lane_ptrs, spans, settings, demod_tables::build(settings), scratch);
+    const auto block = lane_major_block(records);
+    const auto batched = signature_extractor::acquire_batch_lane_major(
+        lane_ptrs, block.data(), settings, demod_tables::build(settings));
     ASSERT_EQ(batched.size(), n_lanes);
     for (std::size_t l = 0; l < n_lanes; ++l) {
         const auto scalar = scalar_lanes[l].acquire(
@@ -137,15 +146,24 @@ TEST(AcquireBatch, RejectsMismatchedAndShortInputs) {
     settings.offset = offset_mode::none;
 
     const auto tables = demod_tables::build(settings);
-    arena scratch;
-    std::vector<std::span<const double>> no_records;
-    EXPECT_THROW((void)signature_extractor::acquire_batch(lanes, no_records, settings, tables,
-                                                          scratch),
+    const std::vector<double> record(10 * 96);
+    std::vector<signature_extractor*> no_lanes;
+    EXPECT_THROW((void)signature_extractor::acquire_batch_lane_major(no_lanes, record.data(),
+                                                                     settings, tables),
                  precondition_error);
     const std::vector<double> short_record(5);
-    std::vector<std::span<const double>> short_spans = {short_record};
-    EXPECT_THROW((void)signature_extractor::acquire_batch(lanes, short_spans, settings,
-                                                          tables, scratch),
+    EXPECT_THROW((void)signature_extractor::acquire_batch_shared(lanes, short_record, settings,
+                                                                 tables),
+                 precondition_error);
+    acquisition_settings other = settings;
+    other.periods = 12;
+    EXPECT_THROW((void)signature_extractor::acquire_batch_lane_major(lanes, record.data(),
+                                                                     other, tables),
+                 precondition_error);
+    batch_evaluator batch({evaluator_config{}});
+    const std::vector<std::size_t> lane0 = {0};
+    EXPECT_THROW((void)batch.measure_harmonic_lanes(
+                     lane0, lane_records{short_record.data(), short_record.size()}, 1, 10),
                  precondition_error);
 }
 
@@ -167,20 +185,16 @@ TEST(BatchEvaluator, HarmonicMeasurementsBitIdenticalToScalarEvaluator) {
         configs.push_back(lane_config(300 + l, offset_mode::calibrated));
     }
     batch_evaluator batch(configs);
-    arena scratch;
-    batch.set_shared_resources(nullptr, &scratch);
 
     std::vector<std::vector<double>> records;
-    std::vector<std::span<const double>> spans;
     for (std::size_t l = 0; l < n_lanes; ++l) {
         records.push_back(lane_record(l, periods));
     }
-    for (const auto& record : records) {
-        spans.emplace_back(record);
-    }
+    const auto block = lane_major_block(records);
 
     const std::vector<std::size_t> all = {0, 1, 2, 3};
-    const auto batched = batch.measure_harmonic_lanes(all, spans, 1, periods);
+    const auto batched = batch.measure_harmonic_lanes(
+        all, lane_records{block.data(), records.front().size()}, 1, periods);
     ASSERT_EQ(batched.size(), n_lanes);
     for (std::size_t l = 0; l < n_lanes; ++l) {
         eval::sinewave_evaluator scalar(configs[l]);
@@ -210,12 +224,7 @@ TEST(BatchEvaluator, DcAndThdBitIdenticalToScalarEvaluator) {
         records.push_back(lane_record(l, periods));
     }
     const std::size_t samples = records.front().size();
-    std::vector<double> lane_major(samples * n_lanes);
-    for (std::size_t l = 0; l < n_lanes; ++l) {
-        for (std::size_t n = 0; n < samples; ++n) {
-            lane_major[n * n_lanes + l] = records[l][n];
-        }
-    }
+    const auto lane_major = lane_major_block(records);
     const std::vector<std::size_t> all = {0, 1, 2};
 
     // DC (k = 0) through the lane-major acquisition kernel.
@@ -273,24 +282,22 @@ TEST(BatchEvaluator, LaneSubsetAcquisitionLeavesOtherLanesUntouched) {
                                              lane_config(2, offset_mode::calibrated),
                                              lane_config(3, offset_mode::calibrated)};
     batch_evaluator batch(configs);
-    arena scratch;
-    batch.set_shared_resources(nullptr, &scratch);
 
     std::vector<std::vector<double>> records;
     for (std::size_t l = 0; l < configs.size(); ++l) {
         records.push_back(lane_record(l, periods));
     }
-    std::vector<std::span<const double>> all_spans;
-    for (const auto& record : records) {
-        all_spans.emplace_back(record);
-    }
+    const std::size_t samples = records.front().size();
+    const auto all_block = lane_major_block(records);
+    const auto subset_block = lane_major_block({records[0], records[2]});
 
     // First acquisition over all lanes, second over lanes {0, 2} only.
     const std::vector<std::size_t> all = {0, 1, 2};
-    const auto first = batch.measure_harmonic_lanes(all, all_spans, 1, periods);
+    const auto first =
+        batch.measure_harmonic_lanes(all, lane_records{all_block.data(), samples}, 1, periods);
     const std::vector<std::size_t> subset = {0, 2};
-    std::vector<std::span<const double>> subset_spans = {records[0], records[2]};
-    const auto second = batch.measure_harmonic_lanes(subset, subset_spans, 1, periods);
+    const auto second = batch.measure_harmonic_lanes(
+        subset, lane_records{subset_block.data(), samples}, 1, periods);
     ASSERT_EQ(second.size(), 2u);
 
     // Scalar counterpart: lane 0 and 2 run two measurements, lane 1 one.

@@ -7,11 +7,9 @@
 
 #include <cmath>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "core/job_queue.hpp"
@@ -97,9 +95,13 @@ void expect_lanes_match_scalar(batch_evaluator& batch) {
     constexpr std::size_t periods = 24;
     const auto record = test_record(periods);
     std::vector<std::size_t> all(batch.lanes());
-    std::vector<std::span<const double>> spans(batch.lanes(), std::span<const double>(record));
+    // Every lane reads the record, transposed into the lane-major layout.
+    std::vector<double> block(record.size() * batch.lanes());
     for (std::size_t l = 0; l < all.size(); ++l) {
         all[l] = l;
+        for (std::size_t n = 0; n < record.size(); ++n) {
+            block[n * batch.lanes() + l] = record[n];
+        }
     }
     std::vector<eval::sinewave_evaluator> scalars;
     for (std::size_t l = 0; l < batch.lanes(); ++l) {
@@ -113,7 +115,8 @@ void expect_lanes_match_scalar(batch_evaluator& batch) {
         EXPECT_EQ(got.calibration_samples(), want.calibration_samples()) << "lane " << l;
         EXPECT_TRUE(got.rng_state() == want.rng_state()) << "lane " << l;
     }
-    const auto batched = batch.measure_harmonic_lanes(all, spans, 1, periods);
+    const auto batched = batch.measure_harmonic_lanes(
+        all, eval::lane_records{block.data(), record.size()}, 1, periods);
     for (std::size_t l = 0; l < batch.lanes(); ++l) {
         const auto expected = scalars[l].measure_harmonic(
             [&record](std::size_t n) { return record[n]; }, 1, periods);
@@ -169,8 +172,6 @@ TEST(CalibrationMemo, HitIsBitIdenticalToFreshScalarCalibration) {
     batch_evaluator served({memo_config(design, 101, cal_periods),
                             memo_config(design, 202, cal_periods),
                             memo_config(design, 303, cal_periods)});
-    arena scratch;
-    served.set_shared_resources(nullptr, &scratch);
     {
         telemetry::registry_scope scope(registry);
         served.calibrate();
@@ -200,8 +201,6 @@ TEST(CalibrationMemo, NoisyLanesWithDifferentSeedsNeverShare) {
     const auto before = memo.stats();
     batch_evaluator distinct({memo_config(design, 11, cal_periods),
                               memo_config(design, 12, cal_periods)});
-    arena scratch;
-    distinct.set_shared_resources(nullptr, &scratch);
     distinct.calibrate();
     const auto mid = memo.stats();
     EXPECT_EQ(mid.misses - before.misses, 2u) << "one calibration per seed";
@@ -210,7 +209,6 @@ TEST(CalibrationMemo, NoisyLanesWithDifferentSeedsNeverShare) {
 
     // The same seed at the same stream position does share.
     batch_evaluator again({memo_config(design, 12, cal_periods)});
-    again.set_shared_resources(nullptr, &scratch);
     again.calibrate();
     EXPECT_EQ(memo.stats().hits - mid.hits, 1u);
     expect_lanes_match_scalar(again);

@@ -1,6 +1,6 @@
 // Lane-major evaluation kernels: every batched acquisition variant
-// (per-lane records + arena, lane-major block, shared broadcast record) and
-// the lane-major Goertzel must be bit-identical to the scalar references,
+// (lane-major block, shared broadcast record) and the lane-major Goertzel
+// must be bit-identical to the scalar references,
 // and the shared-resource caches (demod tables, calibration transplant)
 // must be transparent.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/math_util.hpp"
 #include "dsp/goertzel.hpp"
 #include "eval/acquire_plan.hpp"
@@ -116,10 +115,16 @@ TEST(LaneKernels, TablesArenaVariantBitIdenticalToLegacyAcquireBatch) {
     lane_set legacy(lanes), fast(lanes);
     const auto expected = scalar_acquire(legacy, spans, settings);
 
+    // The table-driven lane-major acquisition over a test-side transpose.
+    std::vector<double> lane_major(periods * kN * lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        for (std::size_t n = 0; n < records[l].size(); ++n) {
+            lane_major[n * lanes + l] = records[l][n];
+        }
+    }
     const auto tables = demod_tables::build(settings);
-    arena scratch;
-    const auto got =
-        signature_extractor::acquire_batch(fast.pointers, spans, settings, tables, scratch);
+    const auto got = signature_extractor::acquire_batch_lane_major(
+        fast.pointers, lane_major.data(), settings, tables);
 
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t l = 0; l < lanes; ++l) {
@@ -189,7 +194,7 @@ TEST(LaneKernels, DemodTableCacheReturnsOneTablePerProgram) {
 
     // The cached table is exactly the locally built one.
     const auto local = demod_tables::build(settings);
-    EXPECT_EQ(first->q1, local.q1);
+    EXPECT_EQ(first->q2_sign, local.q2_sign);
     EXPECT_EQ(first->q1_sign, local.q1_sign);
     EXPECT_EQ(first->acc_sign, local.acc_sign);
 
