@@ -10,9 +10,17 @@
 //   * >= 2x wall-clock speedup (batched vs scalar, same thread count);
 //   * bit-identical screening_report for every die.
 //
+// A kernel-only arm (not gated) times the fused pair kernel
+// (modulator_bank::accumulate_lane_major) against the scalar sd_modulator
+// pair on one 200-period lane-major record at 8 and 16 lanes: ns per
+// sample x lane x channel, the median of interleaved repeats spanning at
+// least 1 s per lane count.
+//
 // Writes the measurement to BENCH_modulator_bank.json (or argv[1]) so the
 // perf trajectory is recorded run over run.
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -23,6 +31,8 @@
 #include "core/sweep_engine.hpp"
 #include "dut/filters.hpp"
 #include "gen/generator.hpp"
+#include "sd/modulator.hpp"
+#include "sd/modulator_bank.hpp"
 
 namespace {
 
@@ -90,6 +100,86 @@ bool reports_identical(const std::vector<core::screening_report>& a,
     return true;
 }
 
+struct kernel_timing {
+    double pair_ns = 0.0;   ///< fused pair kernel, ns per sample x lane x channel
+    double scalar_ns = 0.0; ///< scalar sd_modulator pair, same unit
+    std::size_t repeats = 0;
+};
+
+double median(std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    const std::size_t mid = values.size() / 2;
+    return values.size() % 2 == 1 ? values[mid] : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+/// Seconds per call of `run`, repeated until at least `window` seconds.
+template <class Run>
+double seconds_per_call(Run&& run, double window) {
+    std::size_t calls = 0;
+    const auto start = std::chrono::steady_clock::now();
+    double elapsed = 0.0;
+    do {
+        run();
+        ++calls;
+        elapsed =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    } while (elapsed < window);
+    return elapsed / static_cast<double>(calls);
+}
+
+/// The kernel-only arm at `lanes` lanes: pair kernel and scalar pair timed
+/// alternately, each sample a >= 50 ms window, until both sides span 1 s.
+kernel_timing time_kernels(std::size_t lanes) {
+    constexpr std::size_t samples = 200 * 96;
+    std::vector<double> xs(samples * lanes);
+    for (std::size_t n = 0; n < samples; ++n) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+            xs[n * lanes + l] =
+                (0.3 + 0.02 * static_cast<double>(l)) *
+                std::sin(6.283185307179586 * static_cast<double>(n) / 96.0 + 0.1 * l);
+        }
+    }
+    std::vector<double> q1(samples), q2(samples), signs(samples, 1.0);
+    for (std::size_t n = 0; n < samples; ++n) {
+        q1[n] = (n % 96) < 48 ? 1.0 : -1.0;
+        q2[n] = ((n + 24) % 96) < 48 ? 1.0 : -1.0;
+    }
+    const sd::modulator_params params = sd::modulator_params::ideal();
+    sd::modulator_bank bank;
+    std::vector<sd::sd_modulator> ch1, ch2;
+    for (std::size_t l = 0; l < lanes; ++l) {
+        bank.add_lane(params);
+        ch1.emplace_back(params);
+        ch2.emplace_back(params);
+    }
+    std::vector<double> acc1(lanes, 0.0), acc2(lanes, 0.0);
+    const auto pair_call = [&] {
+        bank.accumulate_lane_major(xs.data(), q1.data(), q2.data(), signs.data(), samples,
+                                   acc1.data(), acc2.data());
+    };
+    const auto scalar_call = [&] {
+        for (std::size_t l = 0; l < lanes; ++l) {
+            for (std::size_t n = 0; n < samples; ++n) {
+                const double x = xs[n * lanes + l];
+                acc1[l] += signs[n] * ch1[l].step(x, q1[n] > 0.0);
+                acc2[l] += signs[n] * ch2[l].step(x, q2[n] > 0.0);
+            }
+        }
+    };
+
+    const double per_call = static_cast<double>(samples * lanes * 2) * 1e-9;
+    std::vector<double> pair, scalar;
+    double spent = 0.0;
+    while (spent < 1.0 || pair.size() < 5) {
+        const double p = seconds_per_call(pair_call, 0.05);
+        const double s = seconds_per_call(scalar_call, 0.05);
+        pair.push_back(p / per_call);
+        scalar.push_back(s / per_call);
+        spent += 0.1 + p + s;
+    }
+    return {median(pair), median(scalar), pair.size()};
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -107,6 +197,9 @@ int main(int argc, char** argv) {
     const auto scalar = best_of(settings, 1, 5);
     const auto batched = best_of(settings, kLanes, 5);
 
+    const kernel_timing k8 = time_kernels(8);
+    const kernel_timing k16 = time_kernels(16);
+
     const bool identical = reports_identical(scalar.reports, batched.reports);
     const double speedup = batched.seconds > 0.0 ? scalar.seconds / batched.seconds : 0.0;
     std::size_t passed = 0;
@@ -121,7 +214,13 @@ int main(int argc, char** argv) {
               << " s\n"
               << "  speedup: " << speedup << "x\n"
               << "  lot yield: " << passed << "/" << kDice << "\n"
-              << "  reports bit-identical: " << (identical ? "YES" : "NO") << "\n";
+              << "  reports bit-identical: " << (identical ? "YES" : "NO") << "\n"
+              << "\nKernel only (ns per sample x lane x channel, median of " << k8.repeats
+              << " / " << k16.repeats << " interleaved repeats):\n"
+              << "  8 lanes:  pair kernel " << k8.pair_ns << ", scalar pair " << k8.scalar_ns
+              << "\n"
+              << "  16 lanes: pair kernel " << k16.pair_ns << ", scalar pair "
+              << k16.scalar_ns << "\n";
 
     bench::write_perf_record(argc > 1 ? argv[1] : "BENCH_modulator_bank.json",
                              "modulator_bank",
@@ -130,7 +229,11 @@ int main(int argc, char** argv) {
                               {"batched_seconds", batched.seconds}, {"speedup", speedup},
                               {"dice_per_second_scalar", kDice / scalar.seconds},
                               {"dice_per_second_batched", kDice / batched.seconds},
-                              {"bit_identical", identical}});
+                              {"bit_identical", identical},
+                              {"kernel_pair_ns_8_lanes", k8.pair_ns},
+                              {"kernel_scalar_ns_8_lanes", k8.scalar_ns},
+                              {"kernel_pair_ns_16_lanes", k16.pair_ns},
+                              {"kernel_scalar_ns_16_lanes", k16.scalar_ns}});
 
     bench::footnote("Lanes never interact: each die keeps its own seeded RNG streams, "
                     "so grouping dice into bank lanes changes the wall clock and "

@@ -29,7 +29,7 @@ struct pair_lanes {
 
 /// Where a lane's input comes from: a lane-major block, one record every
 /// lane reads, or ground (x = 0, positive modulation, unit counter sign).
-enum class pair_input { lane_major, broadcast, grounded };
+enum class pair_input : int { lane_major, broadcast, grounded };
 
 /// One accumulate call as the kernels consume it.
 struct pair_run {
@@ -86,8 +86,7 @@ void run_per_lane(const pair_run& run, std::size_t begin, std::size_t end) noexc
     for (std::size_t l = begin; l < end; ++l) {
         for (std::size_t n = 0; n < run.count; ++n) {
             double x = 0.0;
-            bool q1 = true;
-            bool q2 = true;
+            bool q1 = true, q2 = true;
             double sign = 1.0;
             if (run.input != pair_input::grounded) {
                 x = run.input == pair_input::lane_major ? run.x[n * run.x_stride + l]
@@ -109,8 +108,11 @@ void run_per_lane(const pair_run& run, std::size_t begin, std::size_t end) noexc
 // template body is lowered at the ISA of the plain entry point it is
 // inlined into, so the body is stamped twice: 4 lanes under
 // BISTNA_KERNEL_CLONES and 8 lanes under target("avx512f") -- an 8-lane
-// body in the AVX2 clone would be scalarized.
+// body in the AVX2 clone would be scalarized.  The helpers pass vectors
+// by value but are always inlined, so no call crosses the ABI -Wpsabi
+// warns about.
 // ---------------------------------------------------------------------------
+#pragma GCC diagnostic ignored "-Wpsabi"
 
 template <class V>
 [[gnu::always_inline]] inline V load_lanes(const double* p) noexcept {
@@ -176,17 +178,14 @@ template <class V, pair_input Input, bool Mirror>
     const pair_lanes& v = run.lanes;
     const V zero{};
     for (std::size_t l = run.lane_begin; l < run.lane_end; l += width) {
-        lane_consts<V> k;
-        k.leak = load_lanes<V>(v.leak + l);
-        k.b = load_lanes<V>(v.b + l);
-        k.vref = load_lanes<V>(v.vref + l);
-        k.neg_vref = -k.vref;
-        k.offset = load_lanes<V>(v.input_offset + l);
-        k.gain = load_lanes<V>(v.settle_gain + l);
-        k.hi = load_lanes<V>(v.swing + l);
-        k.lo = -k.hi;
-        k.thr_after_pos = load_lanes<V>(v.thr_after_pos + l);
-        k.thr_after_neg = load_lanes<V>(v.thr_after_neg + l);
+        const V vref = load_lanes<V>(v.vref + l);
+        const V hi = load_lanes<V>(v.swing + l);
+        const lane_consts<V> k{
+            load_lanes<V>(v.leak + l),          load_lanes<V>(v.b + l),
+            vref,                               -vref,
+            load_lanes<V>(v.input_offset + l),  load_lanes<V>(v.settle_gain + l),
+            -hi,                                hi,
+            load_lanes<V>(v.thr_after_pos + l), load_lanes<V>(v.thr_after_neg + l)};
 
         channel_regs<V> ch1 = load_channel<V>(run, 0, l);
         channel_regs<V> ch2 = load_channel<V>(run, 1, l);
@@ -224,20 +223,14 @@ template <class V, pair_input Input, bool Mirror>
 
 template <class V>
 [[gnu::always_inline]] inline void run_tiles_for(const pair_run& run) noexcept {
-    switch (run.input) {
-    case pair_input::lane_major:
+    if (run.input == pair_input::lane_major) {
         run_tiles<V, pair_input::lane_major, false>(run);
-        break;
-    case pair_input::broadcast:
+    } else if (run.input == pair_input::broadcast) {
         run_tiles<V, pair_input::broadcast, false>(run);
-        break;
-    case pair_input::grounded:
-        if (run.mirror) {
-            run_tiles<V, pair_input::grounded, true>(run);
-        } else {
-            run_tiles<V, pair_input::grounded, false>(run);
-        }
-        break;
+    } else if (run.mirror) {
+        run_tiles<V, pair_input::grounded, true>(run);
+    } else {
+        run_tiles<V, pair_input::grounded, false>(run);
     }
 }
 
@@ -326,12 +319,25 @@ pair_lanes modulator_bank::view() noexcept {
     return v;
 }
 
-void modulator_bank::run(pair_run& run) noexcept {
-    run.lanes = view();
+void modulator_bank::run(pair_input input, const double* x, std::size_t x_stride, const double* q1,
+                         const double* q2, const double* acc_signs, std::size_t count,
+                         double* acc1, double* acc2) noexcept {
+    pair_run r;
+    r.input = input;
+    r.mirror = r.input == pair_input::grounded && channels_agree();
+    r.count = count;
+    r.x = x;
+    r.x_stride = x_stride;
+    r.q[0] = q1;
+    r.q[1] = q2;
+    r.acc_sign = acc_signs;
+    r.acc[0] = acc1;
+    r.acc[1] = acc2;
+    r.lanes = view();
     if (any_noise_) {
-        run_per_lane<true>(run, 0, lanes());
+        run_per_lane<true>(r, 0, lanes());
     } else {
-        run_noiseless(run, lanes());
+        run_noiseless(r, lanes());
     }
 }
 
@@ -350,13 +356,10 @@ void modulator_bank::step(const double* inputs, bool q1, bool q2, double* bits1,
                           double* bits2) noexcept {
     const pair_lanes v = view();
     for (std::size_t l = 0; l < lanes(); ++l) {
-        if (any_noise_) {
-            bits1[l] = advance_lane<true>(v, 0, l, inputs[l], q1);
-            bits2[l] = advance_lane<true>(v, 1, l, inputs[l], q2);
-        } else {
-            bits1[l] = advance_lane<false>(v, 0, l, inputs[l], q1);
-            bits2[l] = advance_lane<false>(v, 1, l, inputs[l], q2);
-        }
+        bits1[l] = any_noise_ ? advance_lane<true>(v, 0, l, inputs[l], q1)
+                              : advance_lane<false>(v, 0, l, inputs[l], q1);
+        bits2[l] = any_noise_ ? advance_lane<true>(v, 1, l, inputs[l], q2)
+                              : advance_lane<false>(v, 1, l, inputs[l], q2);
     }
 }
 
@@ -364,44 +367,19 @@ void modulator_bank::accumulate_lane_major(const double* xs, const double* q1,
                                            const double* q2, const double* acc_signs,
                                            std::size_t count, double* acc1,
                                            double* acc2) noexcept {
-    pair_run r;
-    r.input = pair_input::lane_major;
-    r.count = count;
-    r.x = xs;
-    r.x_stride = lanes();
-    r.q[0] = q1;
-    r.q[1] = q2;
-    r.acc_sign = acc_signs;
-    r.acc[0] = acc1;
-    r.acc[1] = acc2;
-    run(r);
+    run(pair_input::lane_major, xs, lanes(), q1, q2, acc_signs, count, acc1, acc2);
 }
 
 void modulator_bank::accumulate_shared(const double* record, const double* q1,
                                        const double* q2, const double* acc_signs,
                                        std::size_t count, double* acc1,
                                        double* acc2) noexcept {
-    pair_run r;
-    r.input = pair_input::broadcast;
-    r.count = count;
-    r.x = record;
-    r.q[0] = q1;
-    r.q[1] = q2;
-    r.acc_sign = acc_signs;
-    r.acc[0] = acc1;
-    r.acc[1] = acc2;
-    run(r);
+    run(pair_input::broadcast, record, 1, q1, q2, acc_signs, count, acc1, acc2);
 }
 
 void modulator_bank::accumulate_grounded(std::size_t count, double* acc1,
                                          double* acc2) noexcept {
-    pair_run r;
-    r.input = pair_input::grounded;
-    r.mirror = channels_agree();
-    r.count = count;
-    r.acc[0] = acc1;
-    r.acc[1] = acc2;
-    run(r);
+    run(pair_input::grounded, nullptr, 0, nullptr, nullptr, nullptr, count, acc1, acc2);
 }
 
 void modulator_bank::reset_lane(std::size_t lane, double initial_state1,

@@ -1,19 +1,14 @@
 // Lockstep structure-of-arrays bank of matched sigma-delta modulator pairs.
 //
-// The paper's evaluator (Fig. 4a) runs two matched first-order modulators
-// per acquisition -- the in-phase and the quadrature channel -- fed the
-// same input under different modulation signs, eqs. (3)-(5).  Screening a
-// production lot evaluates many dice whose pairs execute the *same*
-// instruction sequence on different data -- the ideal SIMD shape.  A bank
-// lane is one such pair: one parameter set (leak, offset, comparator,
-// swing), two channel states (integrator, last decision, clip count) and
-// two noise RNG streams.  The noiseless kernel advances a tile of lanes --
-// both channels of every lane -- in one pass over the record: the tile's
-// states, decisions, clip counts and both counters stay in registers
-// across the sample loop, the two channels share each input load and give
-// the core two independent recurrences per vector, and everything that
-// does not depend on the integrator state is hoisted off the loop-carried
-// chain.
+// The paper's evaluator (Fig. 4a) runs two matched modulators per
+// acquisition -- the in-phase and the quadrature channel -- on the same
+// input under different modulation signs, eqs. (3)-(5), and a lot's dice
+// run the same instructions on different data.  A bank lane is one pair:
+// one parameter set, two channel states and two noise RNG streams.  The
+// noiseless kernel advances both channels of a tile of lanes in one pass:
+// states, decisions, clip counts and counters stay in registers across
+// the record, the channels share each input load, and everything that
+// does not depend on the state is hoisted off the loop-carried chain.
 //
 // Contract with the scalar reference (sd_modulator):
 //   * channel c of lane l constructed via add_lane(params, rng1, rng2)
@@ -51,15 +46,13 @@
 namespace bistna::sd {
 
 struct pair_lanes;
-struct pair_run;
+enum class pair_input : int;
 
 class modulator_bank {
 public:
     /// Channel indices: 0 is the in-phase modulator (signature I1), 1 the
     /// quadrature one (I2).
     static constexpr std::size_t channels = 2;
-
-    modulator_bank() = default;
 
     /// Append a lane whose channel c behaves exactly like
     /// sd_modulator(params, rng_c); returns the lane index.
@@ -111,7 +104,10 @@ public:
 
 private:
     pair_lanes view() noexcept;
-    void run(pair_run& run) noexcept;
+    /// One accumulate call over every lane.
+    void run(pair_input input, const double* x, std::size_t x_stride, const double* q1,
+             const double* q2, const double* acc_signs, std::size_t count, double* acc1,
+             double* acc2) noexcept;
     /// True when every lane's two channels sit in the same state.
     bool channels_agree() const noexcept;
 
