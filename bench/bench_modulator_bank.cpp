@@ -12,9 +12,10 @@
 //
 // A kernel-only arm (not gated) times the fused pair kernel
 // (modulator_bank::accumulate_lane_major) against the scalar sd_modulator
-// pair on one 200-period lane-major record at 8 and 16 lanes: ns per
-// sample x lane x channel, the median of interleaved repeats spanning at
-// least 1 s per lane count.
+// pair on one 200-period lane-major record at 8, 16, 15 and 3 lanes (the
+// last two put 3 lanes on the per-lane step the 8/4-lane tiles leave
+// over): ns per sample x lane x channel, the median of interleaved
+// repeats spanning at least 1 s per lane count.
 //
 // Writes the measurement to BENCH_modulator_bank.json (or argv[1]) so the
 // perf trajectory is recorded run over run.
@@ -197,8 +198,12 @@ int main(int argc, char** argv) {
     const auto scalar = best_of(settings, 1, 5);
     const auto batched = best_of(settings, kLanes, 5);
 
+    // 8 and 16 lanes are whole tiles; 15 = 8 + 4 + 3 and 3 send 3 lanes
+    // through the per-lane step the tiles leave over (timed, not gated).
     const kernel_timing k8 = time_kernels(8);
     const kernel_timing k16 = time_kernels(16);
+    const kernel_timing k15 = time_kernels(15);
+    const kernel_timing k3 = time_kernels(3);
 
     const bool identical = reports_identical(scalar.reports, batched.reports);
     const double speedup = batched.seconds > 0.0 ? scalar.seconds / batched.seconds : 0.0;
@@ -215,12 +220,17 @@ int main(int argc, char** argv) {
               << "  speedup: " << speedup << "x\n"
               << "  lot yield: " << passed << "/" << kDice << "\n"
               << "  reports bit-identical: " << (identical ? "YES" : "NO") << "\n"
-              << "\nKernel only (ns per sample x lane x channel, median of " << k8.repeats
-              << " / " << k16.repeats << " interleaved repeats):\n"
+              << "\nKernel only (ns per sample x lane x channel, median of "
+              << std::min({k8.repeats, k16.repeats, k15.repeats, k3.repeats})
+              << "+ interleaved repeats):\n"
               << "  8 lanes:  pair kernel " << k8.pair_ns << ", scalar pair " << k8.scalar_ns
               << "\n"
               << "  16 lanes: pair kernel " << k16.pair_ns << ", scalar pair "
-              << k16.scalar_ns << "\n";
+              << k16.scalar_ns << "\n"
+              << "  15 lanes: pair kernel " << k15.pair_ns << ", scalar pair "
+              << k15.scalar_ns << "  (8 + 4 tiled, 3 left over)\n"
+              << "  3 lanes:  pair kernel " << k3.pair_ns << ", scalar pair " << k3.scalar_ns
+              << "  (all left over)\n";
 
     bench::write_perf_record(argc > 1 ? argv[1] : "BENCH_modulator_bank.json",
                              "modulator_bank",
@@ -233,7 +243,11 @@ int main(int argc, char** argv) {
                               {"kernel_pair_ns_8_lanes", k8.pair_ns},
                               {"kernel_scalar_ns_8_lanes", k8.scalar_ns},
                               {"kernel_pair_ns_16_lanes", k16.pair_ns},
-                              {"kernel_scalar_ns_16_lanes", k16.scalar_ns}});
+                              {"kernel_scalar_ns_16_lanes", k16.scalar_ns},
+                              {"kernel_pair_ns_15_lanes", k15.pair_ns},
+                              {"kernel_scalar_ns_15_lanes", k15.scalar_ns},
+                              {"kernel_pair_ns_3_lanes", k3.pair_ns},
+                              {"kernel_scalar_ns_3_lanes", k3.scalar_ns}});
 
     bench::footnote("Lanes never interact: each die keeps its own seeded RNG streams, "
                     "so grouping dice into bank lanes changes the wall clock and "

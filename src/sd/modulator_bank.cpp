@@ -1,8 +1,6 @@
 #include "sd/modulator_bank.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/kernel.hpp"
@@ -34,7 +32,6 @@ enum class pair_input : int { lane_major, broadcast, grounded };
 /// One accumulate call as the kernels consume it.
 struct pair_run {
     pair_input input = pair_input::lane_major;
-    bool mirror = false;        ///< grounded: channel 1 copies channel 0
     std::size_t lane_begin = 0; ///< lanes [lane_begin, lane_end) of the call
     std::size_t lane_end = 0;
     std::size_t count = 0;
@@ -172,7 +169,7 @@ template <class V>
     ch.s = clipped;
 }
 
-template <class V, pair_input Input, bool Mirror>
+template <class V, pair_input Input>
 [[gnu::always_inline]] inline void run_tiles(const pair_run& run) noexcept {
     constexpr std::size_t width = sizeof(V) / sizeof(double);
     const pair_lanes& v = run.lanes;
@@ -201,20 +198,8 @@ template <class V, pair_input Input, bool Mirror>
             } else {
                 const V m = zero + k.offset; // (q ? 0.0 : -0.0) + offset, q positive
                 advance_tile(ch1, k, m, 1.0);
-                if constexpr (!Mirror) {
-                    advance_tile(ch2, k, m, 1.0);
-                }
+                advance_tile(ch2, k, m, 1.0);
             }
-        }
-        if constexpr (Mirror) {
-            // Same machine, same start, same input: channel 1 ends where
-            // channel 0 does, and its counters move by the same (exact,
-            // integer) amounts.
-            const channel_regs<V> start = load_channel<V>(run, 0, l);
-            ch2.acc += ch1.acc - start.acc;
-            ch2.clip += ch1.clip - start.clip;
-            ch2.s = ch1.s;
-            ch2.last = ch1.last;
         }
         store_channel(run, 0, l, ch1);
         store_channel(run, 1, l, ch2);
@@ -224,13 +209,11 @@ template <class V, pair_input Input, bool Mirror>
 template <class V>
 [[gnu::always_inline]] inline void run_tiles_for(const pair_run& run) noexcept {
     if (run.input == pair_input::lane_major) {
-        run_tiles<V, pair_input::lane_major, false>(run);
+        run_tiles<V, pair_input::lane_major>(run);
     } else if (run.input == pair_input::broadcast) {
-        run_tiles<V, pair_input::broadcast, false>(run);
-    } else if (run.mirror) {
-        run_tiles<V, pair_input::grounded, true>(run);
+        run_tiles<V, pair_input::broadcast>(run);
     } else {
-        run_tiles<V, pair_input::grounded, false>(run);
+        run_tiles<V, pair_input::grounded>(run);
     }
 }
 
@@ -324,7 +307,6 @@ void modulator_bank::run(pair_input input, const double* x, std::size_t x_stride
                          double* acc1, double* acc2) noexcept {
     pair_run r;
     r.input = input;
-    r.mirror = r.input == pair_input::grounded && channels_agree();
     r.count = count;
     r.x = x;
     r.x_stride = x_stride;
@@ -339,17 +321,6 @@ void modulator_bank::run(pair_input input, const double* x, std::size_t x_stride
     } else {
         run_noiseless(r, lanes());
     }
-}
-
-bool modulator_bank::channels_agree() const noexcept {
-    for (std::size_t l = 0; l < lanes(); ++l) {
-        if (std::bit_cast<std::uint64_t>(state_[0][l]) !=
-                std::bit_cast<std::uint64_t>(state_[1][l]) ||
-            last_[0][l] != last_[1][l]) {
-            return false;
-        }
-    }
-    return true;
 }
 
 void modulator_bank::step(const double* inputs, bool q1, bool q2, double* bits1,

@@ -87,10 +87,7 @@ public:
                            double* acc2) noexcept;
 
     /// Grounded-input lockstep run (input 0, positive modulation, unit
-    /// accumulation sign): the offset-calibration hot loop.  Both channels
-    /// of a noiseless lane are the same machine on the same zero input, so
-    /// when every lane's channels start in the same state one channel runs
-    /// and the other copies it.
+    /// accumulation sign): the offset-calibration hot loop.
     void accumulate_grounded(std::size_t count, double* acc1, double* acc2) noexcept;
 
     /// Restart lane `lane` like sd_modulator::reset on each channel.
@@ -108,8 +105,6 @@ private:
     void run(pair_input input, const double* x, std::size_t x_stride, const double* q1,
              const double* q2, const double* acc_signs, std::size_t count, double* acc1,
              double* acc2) noexcept;
-    /// True when every lane's two channels sit in the same state.
-    bool channels_agree() const noexcept;
 
     // SoA lanes.  Comparator decisions and clip counters are kept as
     // doubles (+1/-1 and exact small integers) so the kernels stay in one

@@ -142,9 +142,8 @@ modulator_params lossy(std::size_t variant) {
 }
 
 // Every mode at every lane count 1..33, each call continuing from the
-// state the previous one left (so the grounded call sees channels that
-// disagree, and a fresh bank's first grounded call sees channels that
-// agree and may mirror).
+// state the previous one left (so the last grounded call sees channels
+// that disagree, and a fresh bank's first one sees channels that agree).
 TEST(ModulatorPair, EveryModeEveryLaneCountMatchesScalarPairs) {
     for (std::size_t n_lanes = 1; n_lanes <= 33; ++n_lanes) {
         SCOPED_TRACE("lanes " + std::to_string(n_lanes));
@@ -256,8 +255,8 @@ TEST(ModulatorPair, NanInputLaneStaysInItsLane) {
     fixture.run(input::grounded, {}, count, 15);
 }
 
-// Restarted lanes with channels in different states: the grounded call
-// must run both channels (no mirroring) and still match.
+// Restarted lanes with channels in different states: each channel of a
+// grounded call must follow its own start.
 TEST(ModulatorPair, GroundedWithDisagreeingChannelsMatchesScalarPairs) {
     constexpr std::size_t n_lanes = 17;
     std::vector<modulator_params> configs;
